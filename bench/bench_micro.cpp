@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/rng.hpp"
+#include "net/path_model.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "net/transport.hpp"
@@ -227,5 +228,33 @@ void BM_ClientRouting(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * params.num_clients);
 }
 BENCHMARK(BM_ClientRouting)->Unit(benchmark::kMillisecond);
+
+// One on-demand row per iteration: a 1-byte cache budget keeps a single
+// row resident, so cycling the source client recomputes a row each query.
+void BM_OnDemandRow(benchmark::State& state) {
+  net::TopologyParams params;
+  params.num_clients = 100;
+  const net::Topology topo = net::generate_topology(params, 42);
+  const net::OnDemandPathModel lazy(topo, topo.latency_scale, 1);
+  NodeId src = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lazy.latency(src, 0));
+    src = (src + 1) % params.num_clients;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OnDemandRow)->Unit(benchmark::kMicrosecond);
+
+// The closed-form calibration probe used above the dense cutover.
+void BM_MeanClientLatency(benchmark::State& state) {
+  net::TopologyParams params;
+  params.num_clients = 2100;
+  const net::Topology topo = net::generate_topology(params, 42);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        net::mean_client_latency_us(topo, topo.latency_scale));
+  }
+}
+BENCHMARK(BM_MeanClientLatency)->Unit(benchmark::kMillisecond);
 
 }  // namespace

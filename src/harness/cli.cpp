@@ -33,9 +33,10 @@ Workload and network:
   --seed S            experiment seed                          (default 42)
   --path-model M      dense | ondemand | auto: pairwise path-metric storage.
                       dense keeps the N^2 latency/hop matrix; ondemand
-                      computes Dijkstra rows lazily under an LRU byte
-                      budget (same values, bounded memory — required
-                      for large --nodes). auto = dense up to 2048 nodes
+                      computes per-router rows lazily (same layered-BFS
+                      routing kernel) under an LRU byte budget (same
+                      values, bounded memory — required for large
+                      --nodes). auto = dense up to 2048 nodes
                                                                (default auto)
   --path-cache-mb MB  on-demand row-cache budget               (default 256)
   --sender N          single-source mode: node N sends everything

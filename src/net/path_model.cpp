@@ -1,9 +1,7 @@
 #include "net/path_model.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <queue>
 #include <string>
 
 #include "common/check.hpp"
@@ -134,90 +132,45 @@ std::vector<double> PathModel::closeness_sums() const {
   return sums;
 }
 
-// ---- Router-level Dijkstra --------------------------------------------------
-
-namespace {
-
-using Cost = std::pair<std::uint32_t, SimTime>;  // (hops, latency)
-constexpr Cost kUnreachedCost{0xffffffffu, kTimeInfinity};
-
-SimTime edge_weight(const Edge& e, double scale) {
-  const SimTime w = e.fixed_latency +
-                    static_cast<SimTime>(std::llround(e.length * scale));
-  return std::max<SimTime>(w, 1);
-}
-
-/// Lexicographic (hops, latency) Dijkstra over router vertices only.
-/// Client leaves have degree 1 with weight >= 1 µs, so no router-to-router
-/// shortest path detours through one; skipping them keeps the solve
-/// independent of the client count while matching the full-graph result.
-void router_dijkstra(const Topology& topo, double scale, VertexId origin,
-                     std::vector<Cost>& dist) {
-  const std::size_t routers = topo.params.num_underlay_vertices;
-  dist.assign(routers, kUnreachedCost);
-  using QEntry = std::pair<Cost, VertexId>;
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> queue;
-  dist[origin] = {0, 0};
-  queue.emplace(Cost{0, 0}, origin);
-  while (!queue.empty()) {
-    const auto [cost, u] = queue.top();
-    queue.pop();
-    if (cost != dist[u]) continue;  // stale entry
-    for (const Edge& e : topo.graph.neighbors(u)) {
-      if (e.to >= routers) continue;  // client leaf
-      const Cost next{cost.first + 1, cost.second + edge_weight(e, scale)};
-      if (next < dist[e.to]) {
-        dist[e.to] = next;
-        queue.emplace(next, e.to);
-      }
-    }
-  }
-}
-
-}  // namespace
-
 // ---- OnDemandPathModel ------------------------------------------------------
 
 OnDemandPathModel::OnDemandPathModel(const Topology& topo, double scale,
                                      std::size_t cache_bytes)
-    : topo_(topo),
-      scale_(scale),
-      n_(static_cast<std::uint32_t>(topo.client_leaf.size())),
+    : routes_(std::make_unique<RouterGraph>(topo, scale)),
+      n_(routes_->num_clients()),
       cache_budget_(cache_bytes == 0 ? kDefaultCacheBytes : cache_bytes) {
-  const std::size_t routers = topo.params.num_underlay_vertices;
-  attach_of_vertex_.assign(routers, 0xffffffffu);
+  attach_of_vertex_.assign(routes_->num_routers(), 0xffffffffu);
   attach_of_client_.resize(n_);
-  access_weight_.resize(n_);
   for (NodeId c = 0; c < n_; ++c) {
-    const auto& access = topo.graph.neighbors(topo.client_leaf[c]);
-    ESM_CHECK(access.size() == 1, "client leaf must have exactly one link");
-    const VertexId attach = access[0].to;
-    ESM_CHECK(attach < routers, "client must attach to a router vertex");
+    const VertexId attach = routes_->attach(c);
     if (attach_of_vertex_[attach] == 0xffffffffu) {
       attach_of_vertex_[attach] =
           static_cast<std::uint32_t>(attach_vertices_.size());
       attach_vertices_.push_back(attach);
     }
     attach_of_client_[c] = attach_of_vertex_[attach];
-    access_weight_[c] = edge_weight(access[0], scale_);
   }
   rows_.resize(attach_vertices_.size());
   row_bytes_ = attach_vertices_.size() *
                (sizeof(SimTime) + sizeof(std::uint16_t));
 }
 
+OnDemandPathModel::~OnDemandPathModel() = default;
+
 SimTime OnDemandPathModel::latency(NodeId a, NodeId b) const {
   ESM_CHECK(a < n_ && b < n_, "client id out of range");
   if (a == b) return 0;
   const Row& r = row(attach_of_client_[a]);
-  return access_weight_[a] + r.lat[attach_of_client_[b]] + access_weight_[b];
+  return routes_->access_weight(a) + r.lat[attach_of_client_[b]] +
+         routes_->access_weight(b);
 }
 
 SimTime OnDemandPathModel::min_latency_lower_bound() const {
   if (n_ < 2) return 0;
   SimTime lo1 = std::numeric_limits<SimTime>::max();  // smallest
   SimTime lo2 = std::numeric_limits<SimTime>::max();  // second smallest
-  for (const SimTime w : access_weight_) {
+  for (NodeId c = 0; c < n_; ++c) {
+    const SimTime w = routes_->access_weight(c);
     if (w < lo1) {
       lo2 = lo1;
       lo1 = w;
@@ -274,16 +227,16 @@ void OnDemandPathModel::compute_row(std::uint32_t attach_index) const {
     ++row_evictions_;
   }
 
-  router_dijkstra(topo_, scale_, attach_vertices_[attach_index], dist_);
+  RouteRow solved;
+  routes_->solve(attach_vertices_[attach_index], solved);
   Row& r = rows_[attach_index];
   const std::size_t a_count = attach_vertices_.size();
   r.lat.resize(a_count);
   r.hops.resize(a_count);
   for (std::size_t j = 0; j < a_count; ++j) {
-    const Cost& c = dist_[attach_vertices_[j]];
-    ESM_CHECK(c.second != kTimeInfinity, "underlay graph is disconnected");
-    r.lat[j] = c.second;
-    r.hops[j] = static_cast<std::uint16_t>(c.first);
+    const VertexId v = attach_vertices_[j];
+    r.lat[j] = solved.latency_to(v);
+    r.hops[j] = static_cast<std::uint16_t>(solved.hops[v]);
   }
   lru_.push_front(attach_index);
   r.lru = lru_.begin();
@@ -312,38 +265,35 @@ std::unique_ptr<PathModel> make_path_model(const Topology& topo,
 }
 
 double mean_client_latency_us(const Topology& topo, double scale) {
-  const auto n = static_cast<std::uint32_t>(topo.client_leaf.size());
+  return mean_client_latency_us(RouterGraph(topo, scale));
+}
+
+double mean_client_latency_us(const RouterGraph& routes) {
+  const std::uint32_t n = routes.num_clients();
   if (n < 2) return 0.0;
-  const std::size_t routers = topo.params.num_underlay_vertices;
 
   // Group clients by attach router. Over ordered pairs (a != b):
   //   Σ latency = 2 (N-1) Σ_a w_a + Σ_u Σ_v cnt_u cnt_v latR(u, v)
   // (the router-path term may include u == v pairs: latR(u, u) == 0, so
   // same-stub client pairs contribute only their access weights).
-  std::vector<std::uint64_t> attach_count(routers, 0);
+  std::vector<std::uint64_t> attach_count(routes.num_routers(), 0);
   std::vector<VertexId> attach_vertices;
   double access_sum = 0.0;
   for (NodeId c = 0; c < n; ++c) {
-    const auto& access = topo.graph.neighbors(topo.client_leaf[c]);
-    ESM_CHECK(access.size() == 1, "client leaf must have exactly one link");
-    const VertexId attach = access[0].to;
-    ESM_CHECK(attach < routers, "client must attach to a router vertex");
-    if (attach_count[attach] == 0) attach_vertices.push_back(attach);
-    ++attach_count[attach];
-    access_sum += static_cast<double>(edge_weight(access[0], scale));
+    const VertexId attach = routes.attach(c);
+    if (attach_count[attach]++ == 0) attach_vertices.push_back(attach);
+    access_sum += static_cast<double>(routes.access_weight(c));
   }
   std::sort(attach_vertices.begin(), attach_vertices.end());
 
   double geo_sum = 0.0;
-  std::vector<Cost> dist;
+  RouteRow row;
   for (const VertexId u : attach_vertices) {
-    router_dijkstra(topo, scale, u, dist);
+    routes.solve(u, row);
     double row_sum = 0.0;
     for (const VertexId v : attach_vertices) {
-      ESM_CHECK(dist[v].second != kTimeInfinity,
-                "underlay graph is disconnected");
       row_sum += static_cast<double>(attach_count[v]) *
-                 static_cast<double>(dist[v].second);
+                 static_cast<double>(row.latency_to(v));
     }
     geo_sum += static_cast<double>(attach_count[u]) * row_sum;
   }

@@ -9,8 +9,8 @@
 //   * `ClientMetrics` (net/routing.hpp) keeps the dense all-pairs matrix;
 //     results are bit-for-bit what they always were, so small-N goldens
 //     are untouched.
-//   * `OnDemandPathModel` (below) computes per-source Dijkstra rows lazily
-//     and keeps them in an LRU cache bounded by a byte budget. It exploits
+//   * `OnDemandPathModel` (below) computes per-source rows lazily and
+//     keeps them in an LRU cache bounded by a byte budget. It exploits
 //     the underlay's structure for exactness AND compactness: every client
 //     leaf hangs off exactly one stub router by a single access edge, so
 //
@@ -23,6 +23,10 @@
 //     default underlay (~3k stub routers) memory is O(routers²) no matter
 //     how many clients share them — 50k clients fit in the same ~90 MB of
 //     rows a 3k-client run needs.
+//
+// Both models, and the closed-form mean below, get their router rows from
+// one kernel, the layered BFS `RouterGraph::solve` (net/routing.hpp), which
+// returns the same integers as a lexicographic (hops, latency) Dijkstra.
 //
 // `make_path_model` picks between the two automatically by client count
 // (`PathModelKind::automatic`), or explicitly via config/CLI
@@ -39,13 +43,15 @@
 
 namespace esm::net {
 
+class RouterGraph;
+
 /// Storage strategy for pairwise client path metrics.
 enum class PathModelKind : std::uint8_t {
   /// dense for N <= kDensePathMaxClients, ondemand above.
   automatic,
   /// Dense all-pairs matrix (O(N²) memory, O(1) query).
   dense,
-  /// Lazy per-attach-router Dijkstra rows with an LRU byte budget.
+  /// Lazy per-attach-router rows with an LRU byte budget.
   ondemand,
 };
 
@@ -75,8 +81,9 @@ class PathModel {
 
   /// Approximate resident bytes of path state (matrix or cached rows).
   virtual std::size_t memory_bytes() const = 0;
-  /// Dijkstra source solves performed so far (rows for ondemand, N for
-  /// the dense matrix).
+  /// Router rows solved so far by the routing kernel: one per cache miss
+  /// for ondemand; reported as N for the dense matrix, which solves one
+  /// row per distinct attach router while it is filled.
   virtual std::uint64_t rows_computed() const = 0;
   /// Cached rows discarded to stay under the byte budget (0 for dense).
   virtual std::uint64_t row_evictions() const { return 0; }
@@ -120,6 +127,7 @@ class OnDemandPathModel final : public PathModel {
                     std::size_t cache_bytes = 0);
   explicit OnDemandPathModel(const Topology& topo)
       : OnDemandPathModel(topo, topo.latency_scale) {}
+  ~OnDemandPathModel() override;
 
   std::uint32_t num_clients() const override { return n_; }
   SimTime latency(NodeId a, NodeId b) const override;
@@ -149,10 +157,8 @@ class OnDemandPathModel final : public PathModel {
 
   const Row& row(std::uint32_t attach_index) const;
   void compute_row(std::uint32_t attach_index) const;
-  void evict_to_budget(std::uint32_t keep) const;
 
-  const Topology& topo_;
-  double scale_;
+  std::unique_ptr<const RouterGraph> routes_;
   std::uint32_t n_ = 0;
   std::size_t cache_budget_ = 0;
   std::size_t row_bytes_ = 0;  // payload bytes per cached row
@@ -160,7 +166,6 @@ class OnDemandPathModel final : public PathModel {
   std::vector<VertexId> attach_vertices_;        // attach index -> vertex
   std::vector<std::uint32_t> attach_of_vertex_;  // vertex -> attach index
   std::vector<std::uint32_t> attach_of_client_;  // client -> attach index
-  std::vector<SimTime> access_weight_;           // client -> leaf edge weight
 
   // Query-path state is mutable: the model is logically const (answers
   // never change) while the cache warms. Each experiment run owns its
@@ -170,9 +175,6 @@ class OnDemandPathModel final : public PathModel {
   mutable std::size_t cached_rows_ = 0;
   mutable std::uint64_t rows_computed_ = 0;
   mutable std::uint64_t row_evictions_ = 0;
-
-  // Scratch for compute_row, reused across solves.
-  mutable std::vector<std::pair<std::uint32_t, SimTime>> dist_;
 };
 
 /// Builds the path model for a topology: dense matrix or on-demand rows
@@ -183,10 +185,13 @@ std::unique_ptr<PathModel> make_path_model(const Topology& topo,
                                            std::size_t cache_bytes = 0);
 
 /// Exact mean one-way client-pair latency without materialising any rows:
-/// groups clients by attach router, so the cost is one router Dijkstra per
+/// groups clients by attach router, so the cost is one router row per
 /// distinct attach vertex. Equals PathModel::mean_latency_us() for the
 /// same topology/scale; used to calibrate large-N topologies where the
 /// dense probe would itself be O(N²).
 double mean_client_latency_us(const Topology& topo, double scale);
+
+/// Same, at the routes' current scale (calibration reuses one RouterGraph).
+double mean_client_latency_us(const RouterGraph& routes);
 
 }  // namespace esm::net

@@ -2,76 +2,67 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 namespace esm::net {
 
-double ClientMetrics::mean_latency_us() const {
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (NodeId a = 0; a < n_; ++a) {
-    for (NodeId b = 0; b < n_; ++b) {
-      if (a == b) continue;
-      sum += static_cast<double>(latency_[idx(a, b)]);
-      ++count;
+RouterGraph::RouterGraph(const Topology& topo, double scale) {
+  const VertexId routers = topo.params.num_underlay_vertices;
+  offset_.reserve(std::size_t(routers) + 1);
+  offset_.push_back(0);
+  for (VertexId u = 0; u < routers; ++u) {
+    for (const Edge& e : topo.graph.neighbors(u)) {
+      if (e.to < routers) half_edge_.push_back(e);  // skip client leaves
     }
+    offset_.push_back(static_cast<std::uint32_t>(half_edge_.size()));
   }
-  return count == 0 ? 0.0 : sum / static_cast<double>(count);
+  access_.reserve(topo.client_leaf.size());
+  for (const VertexId leaf : topo.client_leaf) {
+    const auto& links = topo.graph.neighbors(leaf);
+    ESM_CHECK(links.size() == 1, "client leaf must have exactly one link");
+    ESM_CHECK(links[0].to < routers, "client must attach to a router vertex");
+    access_.push_back(links[0]);
+  }
+  set_scale(scale);
 }
 
-double ClientMetrics::mean_hops() const {
-  double sum = 0.0;
-  std::size_t count = 0;
-  for (NodeId a = 0; a < n_; ++a) {
-    for (NodeId b = 0; b < n_; ++b) {
-      if (a == b) continue;
-      sum += hops_[idx(a, b)];
-      ++count;
-    }
-  }
-  return count == 0 ? 0.0 : sum / static_cast<double>(count);
+void RouterGraph::set_scale(double scale) {
+  const auto weigh = [scale](const Edge& e) {
+    const SimTime w = e.fixed_latency +
+                      static_cast<SimTime>(std::llround(e.length * scale));
+    return std::max<SimTime>(w, 1);
+  };
+  weight_.resize(half_edge_.size());
+  std::transform(half_edge_.begin(), half_edge_.end(), weight_.begin(), weigh);
+  access_weight_.resize(access_.size());
+  std::transform(access_.begin(), access_.end(), access_weight_.begin(),
+                 weigh);
 }
 
-double ClientMetrics::hop_fraction(std::uint16_t lo, std::uint16_t hi) const {
-  std::size_t in = 0, count = 0;
-  for (NodeId a = 0; a < n_; ++a) {
-    for (NodeId b = 0; b < n_; ++b) {
-      if (a == b) continue;
-      ++count;
-      const auto h = hops_[idx(a, b)];
-      if (h >= lo && h <= hi) ++in;
+void RouterGraph::solve(VertexId origin, RouteRow& row) const {
+  const std::uint32_t routers = num_routers();
+  row.hops.assign(routers, RouteRow::kUnreachedHops);
+  row.lat.assign(routers, kTimeInfinity);
+  row.queue.resize(routers);  // every router is enqueued at most once
+  row.hops[origin] = 0;
+  row.lat[origin] = 0;
+  row.queue[0] = origin;
+  std::uint32_t head = 0, tail = 1;
+  while (head < tail) {
+    const VertexId u = row.queue[head++];
+    const std::uint32_t next_hops = row.hops[u] + 1;
+    const SimTime lat_u = row.lat[u];
+    for (std::uint32_t k = offset_[u]; k < offset_[u + 1]; ++k) {
+      const VertexId v = half_edge_[k].to;
+      const SimTime lat_v = lat_u + weight_[k];
+      if (row.hops[v] == RouteRow::kUnreachedHops) {
+        row.hops[v] = next_hops;
+        row.lat[v] = lat_v;
+        row.queue[tail++] = v;
+      } else if (row.hops[v] == next_hops && lat_v < row.lat[v]) {
+        row.lat[v] = lat_v;
+      }
     }
   }
-  return count == 0 ? 0.0 : static_cast<double>(in) / static_cast<double>(count);
-}
-
-double ClientMetrics::latency_fraction(SimTime lo, SimTime hi) const {
-  std::size_t in = 0, count = 0;
-  for (NodeId a = 0; a < n_; ++a) {
-    for (NodeId b = 0; b < n_; ++b) {
-      if (a == b) continue;
-      ++count;
-      const auto l = latency_[idx(a, b)];
-      if (l >= lo && l <= hi) ++in;
-    }
-  }
-  return count == 0 ? 0.0 : static_cast<double>(in) / static_cast<double>(count);
-}
-
-SimTime ClientMetrics::latency_quantile(double p) const {
-  std::vector<SimTime> values;
-  values.reserve(std::size_t(n_) * n_);
-  for (NodeId a = 0; a < n_; ++a) {
-    for (NodeId b = 0; b < n_; ++b) {
-      if (a != b) values.push_back(latency_[idx(a, b)]);
-    }
-  }
-  if (values.empty()) return 0;
-  std::sort(values.begin(), values.end());
-  const double clamped = std::clamp(p, 0.0, 1.0);
-  const auto pos = static_cast<std::size_t>(
-      clamped * static_cast<double>(values.size() - 1));
-  return values[pos];
 }
 
 ClientMetrics compute_client_metrics(const Topology& topo) {
@@ -79,52 +70,35 @@ ClientMetrics compute_client_metrics(const Topology& topo) {
 }
 
 ClientMetrics compute_client_metrics(const Topology& topo, double scale) {
-  const auto n = static_cast<std::uint32_t>(topo.client_leaf.size());
+  return compute_client_metrics(RouterGraph(topo, scale));
+}
+
+ClientMetrics compute_client_metrics(const RouterGraph& routes) {
+  const std::uint32_t n = routes.num_clients();
   ClientMetrics metrics(n);
-  const std::size_t v_count = topo.graph.num_vertices();
-
-  // Map graph vertex -> client id for O(1) extraction after each Dijkstra.
-  std::vector<NodeId> leaf_client(v_count, kInvalidNode);
-  for (NodeId c = 0; c < n; ++c) leaf_client[topo.client_leaf[c]] = c;
-
-  // Routing discipline: hop-shortest paths with latency as tie-breaker,
-  // matching how static shortest-path routing (and ModelNet's
-  // pre-computed emulator paths) treats the Inet graph. Minimizing raw
-  // latency instead would thread paths through many cheap geometric
-  // micro-hops and inflate hop counts far beyond the paper's §5.1 stats.
-  using Cost = std::pair<std::uint32_t, SimTime>;  // (hops, latency)
-  constexpr Cost kUnreached{0xffffffffu, kTimeInfinity};
-  std::vector<Cost> dist(v_count);
-  using QEntry = std::pair<Cost, VertexId>;
-
-  for (NodeId src = 0; src < n; ++src) {
-    std::fill(dist.begin(), dist.end(), kUnreached);
-    std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> queue;
-    const VertexId origin = topo.client_leaf[src];
-    dist[origin] = {0, 0};
-    queue.emplace(Cost{0, 0}, origin);
-    while (!queue.empty()) {
-      const auto [cost, u] = queue.top();
-      queue.pop();
-      if (cost != dist[u]) continue;  // stale entry
-      for (const Edge& e : topo.graph.neighbors(u)) {
-        const SimTime w =
-            e.fixed_latency +
-            static_cast<SimTime>(std::llround(e.length * scale));
-        const Cost next{cost.first + 1, cost.second + std::max<SimTime>(w, 1)};
-        if (next < dist[e.to]) {
-          dist[e.to] = next;
-          queue.emplace(next, e.to);
-        }
-      }
+  // One solve per distinct attach router serves every client on it.
+  std::vector<std::vector<NodeId>> clients_at(routes.num_routers());
+  std::vector<VertexId> sources;
+  for (NodeId c = 0; c < n; ++c) {
+    auto& group = clients_at[routes.attach(c)];
+    if (group.empty()) sources.push_back(routes.attach(c));
+    group.push_back(c);
+  }
+  RouteRow row;
+  std::vector<SimTime> lat_to(n);          // router path + b's access link
+  std::vector<std::uint16_t> hops_to(n);
+  for (const VertexId u : sources) {
+    routes.solve(u, row);
+    for (NodeId b = 0; b < n; ++b) {
+      const VertexId v = routes.attach(b);
+      lat_to[b] = row.latency_to(v) + routes.access_weight(b);
+      hops_to[b] = static_cast<std::uint16_t>(row.hops[v] + 2);
     }
-    for (VertexId v = 0; v < v_count; ++v) {
-      const NodeId dst = leaf_client[v];
-      if (dst == kInvalidNode || dst == src) continue;
-      ESM_CHECK(dist[v].second != kTimeInfinity,
-                "underlay graph is disconnected");
-      metrics.set(src, dst, dist[v].second,
-                  static_cast<std::uint16_t>(dist[v].first));
+    for (const NodeId a : clients_at[u]) {
+      const SimTime w_a = routes.access_weight(a);
+      for (NodeId b = 0; b < n; ++b) {
+        if (b != a) metrics.set(a, b, w_a + lat_to[b], hops_to[b]);
+      }
     }
   }
   return metrics;

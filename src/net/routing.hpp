@@ -1,21 +1,86 @@
 // Shortest-path routing over the underlay.
 //
 // The simulated transport does not route packets hop-by-hop; instead the
-// one-way delay between every pair of clients is precomputed here with
-// Dijkstra over the underlay graph (latency edge weights), exactly as
-// ModelNet pre-computes paths through its emulator core. Hop counts along
-// the latency-shortest paths are kept for validating the topology against
-// the paper's §5.1 statistics.
+// one-way delay between every pair of clients is precomputed here, exactly
+// as ModelNet pre-computes paths through its emulator core. Routing is
+// hop-shortest with latency as tie-breaker: the lexicographic minimum of
+// (hops, latency) over all paths. Hop counts are kept for validating the
+// topology against the paper's §5.1 statistics.
+//
+// One kernel, `RouterGraph::solve`, computes every route in the repo: the
+// dense matrix below, the on-demand rows and the closed-form mean of
+// net/path_model.hpp, and the latency calibration in net/topology.cpp.
+// It is a FIFO breadth-first search over a CSR of the router subgraph
+// with one precomputed SimTime weight per half-edge. Every edge costs
+// exactly one hop, so the hop-shortest paths to a vertex v at BFS depth d
+// are exactly the paths through a neighbour u at depth d-1, and the
+// least latency among them is min(lat[u] + w(u, v)) over those u. FIFO
+// order pops all of layer d-1 (each with its final latency) before any
+// vertex of layer d, so the search returns the same integers as a
+// lexicographic (hops, latency) Dijkstra, with no heap.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/types.hpp"
 #include "net/path_model.hpp"
 #include "net/topology.hpp"
 
 namespace esm::net {
+
+/// One source row of `RouterGraph::solve`, indexed by router vertex.
+/// Unreached routers keep hops == kUnreachedHops, lat == kTimeInfinity.
+struct RouteRow {
+  static constexpr std::uint32_t kUnreachedHops = 0xffffffffu;
+
+  std::vector<std::uint32_t> hops;
+  std::vector<SimTime> lat;
+  std::vector<VertexId> queue;  // BFS scratch
+
+  /// Latency to router `v`; CheckFailure if the underlay is disconnected.
+  SimTime latency_to(VertexId v) const {
+    ESM_CHECK(lat[v] != kTimeInfinity, "underlay graph is disconnected");
+    return lat[v];
+  }
+};
+
+/// The router subgraph of a topology as a CSR with per-half-edge latency
+/// weights, plus each client's access link. Client leaves have degree 1,
+/// so no router-to-router route passes through one and
+///   cost(a, b) = (2, w_a + w_b) + router cost(attach_a, attach_b),
+/// which is how every path model assembles client pairs from router rows.
+class RouterGraph {
+ public:
+  /// Builds the CSR and weights every edge for `scale` (µs per length).
+  RouterGraph(const Topology& topo, double scale);
+
+  /// Re-weights every edge for a new scale, reusing the CSR.
+  void set_scale(double scale);
+
+  std::uint32_t num_routers() const {
+    return static_cast<std::uint32_t>(offset_.size() - 1);
+  }
+  std::uint32_t num_clients() const {
+    return static_cast<std::uint32_t>(access_.size());
+  }
+  /// Router vertex client `c` attaches to.
+  VertexId attach(NodeId c) const { return access_[c].to; }
+  /// Latency of client `c`'s access link.
+  SimTime access_weight(NodeId c) const { return access_weight_[c]; }
+
+  /// Fills `row` with the (hops, latency) route cost from router `origin`
+  /// to every router.
+  void solve(VertexId origin, RouteRow& row) const;
+
+ private:
+  std::vector<std::uint32_t> offset_;  // router -> first half-edge
+  std::vector<Edge> half_edge_;        // router-to-router half-edges
+  std::vector<SimTime> weight_;        // per half-edge, at the current scale
+  std::vector<Edge> access_;           // client -> access edge (to = attach)
+  std::vector<SimTime> access_weight_;
+};
 
 /// Dense client-to-client one-way latency and hop-count matrices — the
 /// PathModel used for small N (O(N²) memory, O(1) query). Large-N runs use
@@ -45,17 +110,6 @@ class ClientMetrics final : public PathModel {
   }
   std::uint64_t rows_computed() const override { return n_; }
 
-  /// Mean one-way latency over ordered pairs (a != b).
-  double mean_latency_us() const override;
-  /// Mean hop count over ordered pairs (a != b).
-  double mean_hops() const override;
-  /// Fraction of ordered pairs whose hop count is in [lo, hi].
-  double hop_fraction(std::uint16_t lo, std::uint16_t hi) const override;
-  /// Fraction of ordered pairs whose latency is in [lo, hi] microseconds.
-  double latency_fraction(SimTime lo, SimTime hi) const override;
-  /// p-quantile (0..1) of the pairwise one-way latency distribution.
-  SimTime latency_quantile(double p) const override;
-
  private:
   std::size_t idx(NodeId a, NodeId b) const {
     ESM_CHECK(a < n_ && b < n_, "client id out of range");
@@ -67,11 +121,15 @@ class ClientMetrics final : public PathModel {
   std::vector<std::uint16_t> hops_;
 };
 
-/// Runs Dijkstra from every client leaf and fills the client matrices,
-/// using `topo.latency_scale` to convert edge lengths to microseconds.
+/// Fills the client matrices from one router row per distinct attach
+/// router, using `topo.latency_scale` to convert edge lengths to
+/// microseconds.
 ClientMetrics compute_client_metrics(const Topology& topo);
 
-/// Same, with an explicit scale (used by calibration).
+/// Same, with an explicit scale.
 ClientMetrics compute_client_metrics(const Topology& topo, double scale);
+
+/// Same, at the routes' current scale (calibration reuses one RouterGraph).
+ClientMetrics compute_client_metrics(const RouterGraph& routes);
 
 }  // namespace esm::net

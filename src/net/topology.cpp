@@ -176,7 +176,9 @@ Topology generate_topology(const TopologyParams& params, std::uint64_t seed) {
   // where fixed_part is the two access links on every path. Edge weights
   // are quantized to integer microseconds, so the relation is only exact
   // for large scales; a few proportional iterations converge to the target
-  // within a fraction of a percent.
+  // within a fraction of a percent. The router CSR is built once; each
+  // probe only re-weights its edges and reruns the layered-BFS routing
+  // kernel (net/routing.hpp), one row per distinct attach router.
   topo.latency_scale = 1.0;
   if (params.num_clients >= 2) {
     const double fixed_part =
@@ -187,18 +189,20 @@ Topology generate_topology(const TopologyParams& params, std::uint64_t seed) {
     // Start well above the quantization floor: mean intra-domain edge
     // lengths are O(0.1) units, so 10^5 us/unit puts edges at ~10 ms.
     double scale = 1e5;
+    RouterGraph routes(topo, scale);
     // Small topologies keep the historical dense probe (bit-for-bit
     // identical scales, so pinned goldens hold); above the dense cutover
-    // the attach-grouped closed form gives the same exact mean with one
-    // router Dijkstra per distinct stub instead of O(N²) pairs.
+    // the attach-grouped closed form gives the same exact mean without
+    // materialising O(N²) pairs.
     const bool dense_probe = params.num_clients <= kDensePathMaxClients;
     for (int iter = 0; iter < 4; ++iter) {
       const double mean_us =
-          dense_probe ? compute_client_metrics(topo, scale).mean_latency_us()
-                      : mean_client_latency_us(topo, scale);
+          dense_probe ? compute_client_metrics(routes).mean_latency_us()
+                      : mean_client_latency_us(routes);
       const double geo_part = mean_us - fixed_part;
       ESM_CHECK(geo_part > 0.0, "degenerate topology: zero geometric paths");
       scale *= (target - fixed_part) / geo_part;
+      routes.set_scale(scale);
     }
     topo.latency_scale = scale;
   }

@@ -55,13 +55,24 @@ TEST(Golden, TtlStrategy) {
 }
 
 TEST(Golden, TopologyScale) {
-  net::TopologyParams params;
-  params.num_clients = 100;
-  const net::Topology topo = net::generate_topology(params, 2007);
   // The calibrated latency scale and edge count are pure functions of the
-  // seed; drift means the generator's RNG consumption changed.
-  EXPECT_EQ(topo.graph.num_edges(), 3644u);
-  EXPECT_NEAR(topo.latency_scale, 61852.14, 0.1);
+  // seed; drift means the generator's RNG consumption or the routing
+  // integers changed. 100 and 300 clients take the dense calibration
+  // probe, 2100 the closed-form one; all three are pinned bit for bit.
+  struct Pin {
+    std::uint32_t clients;
+    std::size_t edges;
+    double scale;
+  };
+  for (const Pin& pin : {Pin{100, 3644, 0x1.e338487ebfd25p+15},
+                         Pin{300, 3844, 0x1.f0da5c7b01578p+15},
+                         Pin{2100, 5644, 0x1.f7786ff83fa47p+15}}) {
+    net::TopologyParams params;
+    params.num_clients = pin.clients;
+    const net::Topology topo = net::generate_topology(params, 2007);
+    EXPECT_EQ(topo.graph.num_edges(), pin.edges) << pin.clients;
+    EXPECT_EQ(topo.latency_scale, pin.scale) << pin.clients;
+  }
 }
 
 }  // namespace
