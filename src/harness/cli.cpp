@@ -106,9 +106,10 @@ Execution:
                       (default 1 = the single-threaded engine). Results
                       are bit-for-bit identical at every shard count >= 2;
                       composes with --jobs. Incompatible with --scenario,
-                      --churn, --trace* and --tree-stats. Adds sim_shard_*
-                      output lines; --metrics-out emits the sim.shard.*
-                      execution block (no per-node lifecycle metrics).
+                      --churn, --noise, --trace* and --tree-stats. Adds
+                      sim_shard_* output lines; --metrics-out emits the
+                      sim.shard.* execution block (no per-node lifecycle
+                      metrics).
 
 Output:
   --kv                print key=value lines instead of the table
@@ -496,28 +497,16 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
     error = "--backpressure on: requires a bounded egress buffer (--buffer)";
     return std::nullopt;
   }
-  // --shards v1 gates (parse-time view; run_experiment re-checks the
-  // final config, catching flags the tools apply after parsing).
-  if (c.shards >= 2) {
-    if (!c.scenario.empty() || !options.scenario_path.empty()) {
-      error = "--shards: scenario scripts need the single-threaded engine";
-      return std::nullopt;
-    }
-    if (c.churn_rate > 0.0) {
-      error = "--shards: --churn needs the single-threaded engine";
-      return std::nullopt;
-    }
-    if (c.collect_trace || c.collect_tree_stats || c.trace_sink != nullptr) {
-      error = "--shards: trace collection needs the single-threaded engine";
-      return std::nullopt;
-    }
-    // collect_metrics is allowed: the sharded engine emits the sim.shard.*
-    // execution block (lifecycle instrumentation stays single-threaded).
-    if (c.strategy.noise > 0.0) {
-      error = "--shards: --noise needs the single-threaded engine (the "
-              "shared calibration is order-dependent)";
-      return std::nullopt;
-    }
+  // --shards gates: the predicate run_experiment enforces on the final
+  // config (tools apply some flags after parsing). A scenario file is only
+  // loaded after parsing, so until then its path stands in for it.
+  if (std::string gate = shard_gate_error(c); !gate.empty()) {
+    error = std::move(gate);
+    return std::nullopt;
+  }
+  if (c.shards >= 2 && !options.scenario_path.empty()) {
+    error = "--shards >= 2: scenario scripts need the single-threaded engine";
+    return std::nullopt;
   }
   if ((wl_senders > 0 || wl_aux_seen) && !options.workload_path.empty()) {
     error = "--workload: cannot be combined with inline workload flags";

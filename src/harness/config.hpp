@@ -184,10 +184,11 @@ struct ExperimentConfig {
   /// bit-identical at ANY shard count but may order same-microsecond
   /// arrival ties differently from the legacy engine. Composes freely
   /// with the runner's --jobs (shards parallelize one run, jobs
-  /// parallelize across runs). v1 gates: incompatible with scenario
-  /// scripts, churn, strategy noise (the shared calibration is
-  /// order-dependent) and trace/tree-stats/metrics collection (warm-up
-  /// kills are fine — they happen between windows).
+  /// parallelize across runs). Gates (shard_gate_error): incompatible
+  /// with scenario scripts, churn, strategy noise (the shared calibration
+  /// is order-dependent) and trace/tree-stats collection. Metrics
+  /// collection works and emits the sim.shard.* block; warm-up kills are
+  /// fine — they happen between windows.
   std::uint32_t shards = 1;
 
   // Failure injection (§6.3): kill_fraction of nodes silenced right after

@@ -255,26 +255,92 @@ std::unique_ptr<core::TransmissionStrategy> make_strategy(
   return nullptr;
 }
 
-/// The sharded (multi-threaded) assembly, defined after run_experiment.
-/// Mirrors the legacy assembly step for step; every difference is a
-/// comment of the form "sharded:" there.
-ExperimentResult run_experiment_sharded(const ExperimentConfig& config);
+/// The execution backend. shards == 1 holds one Simulator: the
+/// single-threaded engine the golden fingerprints pin. shards >= 2 holds
+/// a ShardedSimulator advancing per-shard simulators through conservative
+/// windows; it is bit-identical at any shard count but may order
+/// same-microsecond arrival ties differently from the single engine.
+/// Everything a node schedules goes to sim_for(node). Run-global actors
+/// (GC, census, churn, scenario events) go to control(): the one simulator
+/// at shards == 1, the coordinator's control simulator otherwise, whose
+/// events run while every shard worker is parked at the window barrier.
+class Engine {
+ public:
+  explicit Engine(std::uint32_t shards) {
+    if (shards >= 2) {
+      sharded_.emplace(shards);
+    } else {
+      single_.emplace();
+    }
+  }
+
+  std::uint32_t shards() const {
+    return sharded_ ? sharded_->num_shards() : 1;
+  }
+  /// The sharded backend, or nullptr on the single engine.
+  sim::ShardedSimulator* sharded() { return sharded_ ? &*sharded_ : nullptr; }
+  sim::Simulator& sim_for(NodeId node) {
+    return sharded_ ? sharded_->shard_for(node) : *single_;
+  }
+  std::uint32_t shard_of(NodeId node) const {
+    return sharded_ ? sharded_->shard_of(node) : 0;
+  }
+  sim::Simulator& control() {
+    return sharded_ ? sharded_->control() : *single_;
+  }
+  void run_until(SimTime t) {
+    if (sharded_) {
+      sharded_->run_until(t);
+    } else {
+      single_->run_until(t);
+    }
+  }
+  SimTime now() const { return sharded_ ? sharded_->now() : single_->now(); }
+  std::uint64_t events_executed() const {
+    return sharded_ ? sharded_->events_executed() : single_->events_executed();
+  }
+
+ private:
+  std::optional<sim::Simulator> single_;
+  std::optional<sim::ShardedSimulator> sharded_;
+};
 
 }  // namespace
 
+std::string shard_gate_error(const ExperimentConfig& config) {
+  if (config.shards < 2) return {};
+  if (!config.scenario.empty()) {
+    return "--shards >= 2: scenario scripts need the single-threaded engine";
+  }
+  if (config.churn_rate > 0.0) {
+    return "--shards >= 2: --churn needs the single-threaded engine";
+  }
+  if (config.collect_trace || config.collect_tree_stats ||
+      config.trace_sink != nullptr) {
+    return "--shards >= 2: trace collection (--trace*, --tree-stats) needs "
+           "the single-threaded engine";
+  }
+  if (config.strategy.noise > 0.0) {
+    return "--shards >= 2: --noise needs the single-threaded engine (the "
+           "shared calibration is order-dependent)";
+  }
+  return {};
+}
+
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-  // Engine split: shards == 1 runs the code below, byte-for-byte the
-  // single-threaded engine the golden fingerprints pin. shards >= 2 runs
-  // the conservative-window engine, which is bit-identical at any shard
-  // count but may order same-microsecond arrival ties differently from
-  // this engine.
-  if (config.shards >= 2) return run_experiment_sharded(config);
+  // The CLI checks the same gates at parse time, but tools mutate the
+  // config after parsing (esm_run applies --trace / --metrics-out itself),
+  // so the run is where the contract is enforced.
+  if (const std::string gate = shard_gate_error(config); !gate.empty()) {
+    throw CheckFailure(gate);
+  }
   ESM_CHECK(config.num_nodes >= 2, "need at least two nodes");
   ESM_CHECK(config.kill_fraction >= 0.0 && config.kill_fraction < 1.0,
             "kill fraction must be in [0, 1)");
   config.scenario.validate(config.num_nodes);
   Rng root(config.seed);
 
+  // --- build_world: workload plan, underlay, ranking, engine, transport ---
   // Heavy-traffic workload: resolve the whole arrival plan up front from
   // a dedicated RNG split. split() is const, so legacy runs (empty
   // workload) draw exactly the same sequences as before this subsystem
@@ -296,12 +362,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
           ? config.workload.duration / static_cast<SimTime>(plan.size())
           : config.mean_interval;
 
-  // --- 1. Underlay, routing, ranking --------------------------------------
+  // Underlay and pairwise path metrics: dense matrix for small N,
+  // memory-bounded on-demand rows above the cutover (or whatever the
+  // config forces).
   net::TopologyParams topo_params = config.topology;
   topo_params.num_clients = config.num_nodes;
   const net::Topology topo = generate_topology(topo_params, config.seed);
-  // Pairwise path metrics: dense matrix for small N, memory-bounded
-  // on-demand rows above the cutover (or whatever the config forces).
   const std::unique_ptr<net::PathModel> path_model =
       net::make_path_model(topo, config.path_model, config.path_cache_bytes);
   const net::PathModel& metrics = *path_model;
@@ -343,7 +409,40 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                                                    config.num_nodes));
   }
 
-  sim::Simulator sim;
+  Engine engine(config.shards);
+  const std::uint32_t num_shards = engine.shards();
+  // Sharded: the conservative window width. Jitter can shrink a one-way
+  // delay to (1 - jitter) of the routed latency, never below, so that
+  // scaling of the model's lower bound is a valid lookahead for every
+  // cross-shard packet.
+  SimTime lookahead = 0;
+  if (sim::ShardedSimulator* world = engine.sharded()) {
+    const auto path_floor =
+        static_cast<double>(metrics.min_latency_lower_bound());
+    lookahead = std::max<SimTime>(
+        1,
+        static_cast<SimTime>(std::floor(path_floor * (1.0 - config.jitter))));
+    world->set_lookahead(lookahead);
+  }
+  // Sharded: the on-demand path model mutates an LRU row cache under
+  // latency(), so each shard gets a private replica (identical answers,
+  // separate caches). The dense matrix is immutable and safely shared.
+  const bool path_replicas =
+      num_shards >= 2 &&
+      net::resolve_path_model(config.path_model, config.num_nodes) ==
+          net::PathModelKind::ondemand;
+  std::vector<std::unique_ptr<net::PathModel>> shard_paths;
+  std::deque<net::PathLatencyModel> shard_latency_models;
+  std::vector<const net::LatencyModel*> shard_latency;
+  if (path_replicas) {
+    for (std::uint32_t s = 0; s < num_shards; ++s) {
+      shard_paths.push_back(net::make_path_model(topo, config.path_model,
+                                                 config.path_cache_bytes));
+      shard_latency_models.emplace_back(*shard_paths.back());
+      shard_latency.push_back(&shard_latency_models.back());
+    }
+  }
+
   net::TransportOptions topts;
   topts.loss_rate = config.loss_rate;
   topts.bandwidth_bps = config.bandwidth_bps;
@@ -367,11 +466,26 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   const wire::WireCodec wire_codec;
   if (config.use_wire_codec) topts.codec = &wire_codec;
-  net::Transport transport(sim, latency, config.num_nodes, topts,
-                           root.split(0x7472616eULL));
+  // Sharded: the constructor's simulator is only the unsharded fallback;
+  // bind_shards() switches every per-node schedule to the shard sims and
+  // splits the transport's accounting and RNG per shard/node.
+  net::Transport transport(engine.sim_for(0), latency, config.num_nodes,
+                           topts, root.split(0x7472616eULL));
+  if (sim::ShardedSimulator* world = engine.sharded()) {
+    transport.bind_shards(*world, shard_latency);
+  }
 
-  // Shared oracle components.
-  core::OracleLatencyMonitor oracle_monitor(latency);
+  // Shared oracle components. Radius/hybrid metric() queries run on the
+  // querying node's shard, so with path replicas each shard's nodes read a
+  // monitor over their shard's private latency replica.
+  std::deque<core::OracleLatencyMonitor> oracle_monitors;
+  if (path_replicas) {
+    for (const net::PathLatencyModel& replica : shard_latency_models) {
+      oracle_monitors.emplace_back(replica);
+    }
+  } else {
+    oracle_monitors.emplace_back(latency);
+  }
   core::DistanceMonitor distance_monitor(topo.client_coords);
   core::StaticBestSet static_best(oracle_best);
 
@@ -382,7 +496,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   const bool wrap_noise =
       config.strategy.noise > 0.0 || config.scenario.has_noise_events();
 
-  // --- 2. Per-node stacks ---------------------------------------------------
+  // --- wire_nodes: accumulators, observers, per-node stacks, warm-up -----
   struct MsgRecord {
     std::uint32_t deliveries = 0;
     /// Nodes alive when the message was multicast (the reliability
@@ -392,7 +506,54 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   };
   std::vector<MsgRecord> messages(num_messages);
   stats::Samples all_latency_ms;
-  std::vector<std::uint32_t> payload_tx_per_message(num_messages, 0);
+  std::uint64_t offtopic_deliveries = 0;
+  // Delivery accounting. The latency Samples/RunningStat are
+  // order-sensitive, so they consume deliveries in one canonical order:
+  // execution order on the single engine (inline), and on the sharded
+  // engine the per-shard logs replayed after the run in (time, node)
+  // order. Entries sharing a (time, node) pair come from one shard's log
+  // in its execution order, so a stable sort yields an order that does
+  // not depend on the shard count.
+  struct DeliveryRec {
+    SimTime at = 0;
+    NodeId node = kInvalidNode;
+    std::uint32_t seq = 0;
+    SimTime latency = 0;
+    bool on_topic = true;
+    bool origin = false;
+  };
+  auto apply_delivery = [&](const DeliveryRec& rec) {
+    if (!rec.on_topic) {
+      ++offtopic_deliveries;
+      return;
+    }
+    MsgRecord& m = messages.at(rec.seq);
+    ++m.deliveries;
+    if (!rec.origin) {
+      const double ms = to_ms(rec.latency);
+      m.latency_ms.add(ms);
+      all_latency_ms.add(ms);
+    }
+  };
+  std::vector<std::vector<DeliveryRec>> delivery_log(
+      num_shards >= 2 ? num_shards : 0);
+  // Every other mutable accumulator a node callback touches has one slot
+  // per shard; order-insensitive counters merge by summation afterwards.
+  std::vector<std::vector<std::uint32_t>> payload_tx(
+      num_shards, std::vector<std::uint32_t>(num_messages, 0));
+  // Goodput/saturation accounting (always on: plain counters, no RNG
+  // draws, no events — legacy runs get the metrics for free).
+  std::deque<obs::GoodputTracker> goodputs;
+  for (std::uint32_t s = 0; s < num_shards; ++s) {
+    goodputs.emplace_back(config.warmup);
+  }
+  // Run-wide message intern table + canonical payload store, shared by
+  // every node's scheduler and gossip layer (see core/msg_arena.hpp); one
+  // per shard. MsgIds are global, the interned MsgKeys are shard-local —
+  // nothing ever compares keys across shards.
+  std::deque<core::MessageArena> arenas(num_shards);
+  for (core::MessageArena& arena : arenas) arena.reserve(num_messages);
+
   // Topic scoping: per-message topic tag and per-topic membership bitsets.
   // A delivery at a non-member node is a protocol-level relay, not a
   // useful delivery — it stays out of reliability/latency/goodput.
@@ -407,10 +568,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       msg_topic[i] = plan.arrivals[i].topic;
     }
   }
-  // Goodput/saturation accounting (always on: plain counters, no RNG
-  // draws, no events — legacy runs get the metrics for free).
-  obs::GoodputTracker goodput(config.warmup);
-  std::uint64_t offtopic_deliveries = 0;
+
+  // Single-threaded observers: the trace, per-phase windows and the
+  // message-lifecycle tracker (shard_gate_error keeps the first two off
+  // the sharded engine; the tracker is skipped there).
   ESM_CHECK(!(config.collect_tree_stats && config.trace_sink != nullptr),
             "tree stats need the buffered trace; incompatible with a stream "
             "sink");
@@ -446,19 +607,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   stats::PhaseWindows phase_windows(config.warmup);
   stats::PhaseWindows* const pw =
       config.scenario.empty() ? nullptr : &phase_windows;
-  // Run-wide message intern table + canonical payload store, shared by
-  // every node's scheduler and gossip layer (see core/msg_arena.hpp).
-  // Declared before the tracker so the tracker can key episodes by the
-  // same interned message keys.
-  core::MessageArena msg_arena;
-  msg_arena.reserve(num_messages);
   // Observability: metrics registries + message-lifecycle tracker, wired
-  // into the protocol layers' observation hooks. Only metrics runs pay.
+  // into the protocol layers' observation hooks. Only metrics runs pay;
+  // the sharded engine's document carries only the sim.shard.* block.
   std::shared_ptr<obs::RunMetrics> run_metrics =
       config.collect_metrics ? std::make_shared<obs::RunMetrics>() : nullptr;
   std::optional<obs::LifecycleTracker> tracker;
-  if (run_metrics) {
-    tracker.emplace(sim, config.num_nodes, *run_metrics, &msg_arena);
+  if (run_metrics && num_shards == 1) {
+    tracker.emplace(engine.control(), config.num_nodes, *run_metrics,
+                    &arenas.front());
   }
   obs::LifecycleTracker* const trk = tracker ? &*tracker : nullptr;
   if (trk) {
@@ -471,16 +628,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   std::vector<std::unique_ptr<NodeStack>> nodes;
   nodes.reserve(config.num_nodes);
-
-  // Oracle closeness seeds for the gossip-rank estimator (higher = closer
-  // to everyone = better node). Reuses the closeness pass from section 1;
-  // runs without gossip rank skip it entirely.
-  std::vector<double> closeness_score(config.num_nodes, 0.0);
-  if (use_gossip_rank) {
-    for (NodeId n = 0; n < config.num_nodes; ++n) {
-      closeness_score[n] = -closeness_sums[n];
-    }
-  }
 
   // Fixed symmetric neighbor sets, when requested — compressed to one
   // shared CSR structure; samplers borrow their row instead of copying it.
@@ -505,9 +652,24 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                     16)
           : num_messages;
 
+  // Adaptive fanout: proportional to provisioned bandwidth, mean preserved.
+  double mean_bw = 0.0;
+  if (config.adaptive_fanout) {
+    for (NodeId n = 0; n < config.num_nodes; ++n) {
+      mean_bw += static_cast<double>(transport.node_bandwidth(n));
+    }
+    mean_bw /= static_cast<double>(config.num_nodes);
+  }
+
   for (NodeId id = 0; id < config.num_nodes; ++id) {
     auto stack = std::make_unique<NodeStack>();
     Rng node_rng = root.split(0x100000ULL + id);
+    // Everything this node schedules, and every accumulator its callbacks
+    // touch, lives on its shard.
+    sim::Simulator& nsim = engine.sim_for(id);
+    sim::Simulator* const nsp = &nsim;
+    const std::uint32_t shard = engine.shard_of(id);
+    obs::GoodputTracker* const gp = &goodputs[shard];
 
     switch (config.overlay_kind) {
       case OverlayKind::static_random:
@@ -526,7 +688,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         overlay::HyParViewParams hpv;
         hpv.active_size = config.overlay.view_size;
         stack->hyparview = std::make_unique<overlay::HyParViewNode>(
-            sim, transport, id, hpv, node_rng.split(1));
+            nsim, transport, id, hpv, node_rng.split(1));
         stack->sampler = stack->hyparview.get();
         break;
       }
@@ -535,13 +697,13 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         np.target_degree = config.overlay.view_size;
         np.max_degree = config.overlay.view_size + config.overlay.view_size / 3;
         stack->neem = std::make_unique<overlay::NeemNode>(
-            sim, transport, id, np, node_rng.split(1));
+            nsim, transport, id, np, node_rng.split(1));
         stack->sampler = stack->neem.get();
         break;
       }
       case OverlayKind::cyclon:
         stack->cyclon = std::make_unique<overlay::CyclonNode>(
-            sim, transport, id, config.overlay, node_rng.split(1));
+            nsim, transport, id, config.overlay, node_rng.split(1));
         stack->sampler = stack->cyclon.get();
         break;
     }
@@ -550,14 +712,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     if (needs_monitor) {
       switch (config.strategy.monitor) {
         case MonitorKind::oracle_latency:
-          monitor = &oracle_monitor;
+          monitor = &oracle_monitors[path_replicas ? shard : 0];
           break;
         case MonitorKind::distance:
           monitor = &distance_monitor;
           break;
         case MonitorKind::ping:
           stack->ping = std::make_unique<core::PingMonitor>(
-              sim, transport, id, *stack->sampler, core::PingMonitor::Params{},
+              nsim, transport, id, *stack->sampler, core::PingMonitor::Params{},
               node_rng.split(2));
           monitor = stack->ping.get();
           break;
@@ -571,8 +733,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     const core::BestSet* best = nullptr;
     if (needs_best) {
       if (use_gossip_rank) {
+        // Seeded with the oracle closeness score (higher = closer to
+        // everyone = better node) from the closeness pass of build_world.
         stack->rank_estimator = std::make_unique<rank::GossipRankEstimator>(
-            sim, transport, id, *stack->sampler, closeness_score[id],
+            nsim, transport, id, *stack->sampler, -closeness_sums[id],
             config.strategy.best_fraction, rank::RankParams{},
             node_rng.split(3));
         best = stack->rank_estimator.get();
@@ -593,11 +757,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
     NodeStack* raw = stack.get();
     stack->scheduler = std::make_unique<core::PayloadScheduler>(
-        sim, transport, id, *stack->strategy,
+        nsim, transport, id, *stack->strategy,
         [raw](const core::AppMessage& msg, Round round, NodeId src) {
           raw->gossip->l_receive(msg, round, src);
         },
-        &msg_arena);
+        &arenas[shard]);
     stack->scheduler->reserve(expected_window);
     stack->scheduler->set_ihave_batch_window(config.ihave_batch_window);
     stack->scheduler->set_pull_order(config.pull_sched);
@@ -608,12 +772,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       bp.readvertise_delay = config.retransmission_period;
       stack->scheduler->set_backpressure(bp);
       stack->scheduler->set_backpressure_listener(
-          [&goodput](core::PayloadScheduler::BpEvent event) {
+          [gp](core::PayloadScheduler::BpEvent event) {
             if (event == core::PayloadScheduler::BpEvent::kEagerDeferred) {
-              goodput.on_defer();
+              gp->on_defer();
             } else if (event ==
                        core::PayloadScheduler::BpEvent::kDropReadvertised) {
-              goodput.on_drop_recovery();
+              gp->on_drop_recovery();
             }
           });
     }
@@ -629,25 +793,24 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
           [trk, id](const MsgId& mid, core::PayloadScheduler::LazyEvent event,
                     NodeId peer) { trk->on_lazy_event(id, mid, event, peer); });
     }
+    std::vector<std::uint32_t>* const tx = &payload_tx[shard];
     stack->scheduler->set_send_listener(
-        [&payload_tx_per_message, trace_log, pw, id, &sim, &in_flight,
-         &goodput](const core::AppMessage& msg, NodeId dst, bool eager) {
-          if (msg.seq < payload_tx_per_message.size()) {
-            ++payload_tx_per_message[msg.seq];
-          }
-          goodput.on_payload();
+        [tx, gp, trace_log, pw, id, nsp, &in_flight](
+            const core::AppMessage& msg, NodeId dst, bool eager) {
+          if (msg.seq < tx->size()) ++(*tx)[msg.seq];
+          gp->on_payload();
           if (pw) pw->on_payload(id, dst);
           if (trace_log) {
             const auto handle = trace_log->record_payload(
-                {sim.now(), id, dst, msg.seq, eager});
+                {nsp->now(), id, dst, msg.seq, eager});
             const std::uint64_t link =
                 (static_cast<std::uint64_t>(id) << 32) | dst;
-            in_flight[link].push_back({msg.seq, sim.now(), handle, eager});
+            in_flight[link].push_back({msg.seq, nsp->now(), handle, eager});
           }
         });
     if (trace_log) {
       stack->scheduler->set_accept_listener(
-          [trace_log, &in_flight, &last_accept, id, &sim](
+          [trace_log, &in_flight, &last_accept, id, nsp](
               NodeId src, const core::AppMessage& msg, bool duplicate) {
             const std::uint64_t link =
                 (static_cast<std::uint64_t>(src) << 32) | id;
@@ -657,12 +820,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
               // lost packets; drop them so the scan stays bounded.
               constexpr SimTime kLostAfter = 30 * kSecond;
               while (!queue->empty() &&
-                     queue->front().sent + kLostAfter < sim.now()) {
+                     queue->front().sent + kLostAfter < nsp->now()) {
                 queue->pop_front();
               }
               for (auto q = queue->begin(); q != queue->end(); ++q) {
                 if (q->seq == msg.seq) {
-                  trace_log->set_payload_recv(q->handle, sim.now());
+                  trace_log->set_payload_recv(q->handle, nsp->now());
                   eager = q->eager;
                   queue->erase(q);
                   break;
@@ -675,27 +838,20 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     }
 
     core::GossipParams gossip_params = config.gossip;
-    if (config.adaptive_fanout) {
-      // Fanout proportional to provisioned bandwidth, mean preserved.
-      double mean_bw = 0.0;
-      for (NodeId n = 0; n < config.num_nodes; ++n) {
-        mean_bw += static_cast<double>(transport.node_bandwidth(n));
-      }
-      mean_bw /= static_cast<double>(config.num_nodes);
-      if (mean_bw > 0.0) {
-        const double scaled =
-            static_cast<double>(config.gossip.fanout) *
-            static_cast<double>(transport.node_bandwidth(id)) / mean_bw;
-        gossip_params.fanout = static_cast<std::uint32_t>(std::clamp(
-            std::lround(scaled), 3L,
-            2L * static_cast<long>(config.gossip.fanout)));
-      }
+    if (config.adaptive_fanout && mean_bw > 0.0) {
+      const double scaled =
+          static_cast<double>(config.gossip.fanout) *
+          static_cast<double>(transport.node_bandwidth(id)) / mean_bw;
+      gossip_params.fanout = static_cast<std::uint32_t>(std::clamp(
+          std::lround(scaled), 3L,
+          2L * static_cast<long>(config.gossip.fanout)));
     }
+    std::vector<DeliveryRec>* const log =
+        delivery_log.empty() ? nullptr : &delivery_log[shard];
     stack->gossip = std::make_unique<core::GossipNode>(
         id, gossip_params, *stack->sampler, *stack->scheduler,
-        [&messages, &all_latency_ms, &sim, id, trace_log, pw, trk,
-         &last_accept, &msg_topic, &topic_member, &goodput,
-         &offtopic_deliveries](const core::AppMessage& msg) {
+        [&apply_delivery, log, gp, nsp, id, trace_log, pw, trk, &last_accept,
+         &msg_topic, &topic_member](const core::AppMessage& msg) {
           // Topic gate: a delivery at a node outside the message's topic
           // is protocol relay traffic. It still feeds the lifecycle
           // tracker and the trace (the packet really arrived), but stays
@@ -705,29 +861,27 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                                          : load::kNoTopic;
           const bool on_topic =
               topic == load::kNoTopic || topic_member[topic].test(id);
-          const double ms = to_ms(sim.now() - msg.multicast_time);
-          if (on_topic) {
-            MsgRecord& rec = messages.at(msg.seq);
-            ++rec.deliveries;
-            if (msg.origin != id) {
-              rec.latency_ms.add(ms);
-              all_latency_ms.add(ms);
-            }
-            if (pw) pw->on_delivery(msg.seq, ms, msg.origin == id);
-            goodput.on_delivery(sim.now());
+          const SimTime now = nsp->now();
+          const DeliveryRec rec{now,      id,        msg.seq,
+                                now - msg.multicast_time, on_topic,
+                                msg.origin == id};
+          if (log) {
+            log->push_back(rec);
           } else {
-            ++offtopic_deliveries;
+            apply_delivery(rec);
           }
-          if (trk) {
-            trk->on_delivery(id, msg.id, sim.now() - msg.multicast_time);
+          if (on_topic) {
+            if (pw) pw->on_delivery(msg.seq, to_ms(rec.latency), rec.origin);
+            gp->on_delivery(now);
           }
+          if (trk) trk->on_delivery(id, msg.id, rec.latency);
           if (trace_log) {
             // The payload that delivered here was matched by the accept
             // listener synchronously upstream of this callback; the origin
             // delivers its own multicast (parent = itself, "eager").
             NodeId from = id;
             bool eager = true;
-            if (msg.origin != id) {
+            if (!rec.origin) {
               const LastAccept& acc = last_accept[id];
               if (acc.id == msg.id) {
                 from = acc.from;
@@ -736,9 +890,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                 from = kInvalidNode;
               }
             }
-            trace_log->record_delivery({sim.now(), id, msg.origin, msg.seq,
-                                        sim.now() - msg.multicast_time, from,
-                                        eager});
+            trace_log->record_delivery(
+                {now, id, msg.origin, msg.seq, rec.latency, from, eager});
           }
         },
         node_rng.split(6));
@@ -776,11 +929,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // scheduler's congestion flag (the low-watermark edge also flushes its
   // deferred work), and purged packets re-enter the owning scheduler's
   // advertise path. Installed only when enabled, so legacy runs keep the
-  // listener-free fast path.
+  // listener-free fast path. Both listeners fire on the source node's
+  // shard (send/drain/purge are source-side), so touching that shard's
+  // goodput tracker and the source's scheduler is race-free.
   if (config.backpressure && config.egress_buffer_bytes > 0) {
     transport.set_watermark_listener(
-        [&nodes, &goodput, &sim](NodeId src, bool above_high) {
-          goodput.on_watermark(sim.now(), above_high);
+        [&nodes, &goodputs, &engine](NodeId src, bool above_high) {
+          goodputs[engine.shard_of(src)].on_watermark(
+              engine.sim_for(src).now(), above_high);
           nodes[src]->scheduler->set_congested(above_high);
         });
     transport.set_purge_listener(
@@ -790,58 +946,50 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         });
   }
 
-  // --- 3. Bootstrap + warm-up ------------------------------------------------
-  if (config.overlay_kind == OverlayKind::cyclon) {
-    Rng boot = root.split(0x626f6f74ULL);
-    for (NodeId id = 0; id < config.num_nodes; ++id) {
-      std::vector<NodeId> contacts;
-      while (contacts.size() < config.overlay.view_size &&
-             contacts.size() + 1 < config.num_nodes) {
-        const NodeId c = static_cast<NodeId>(boot.below(config.num_nodes));
-        if (c != id &&
-            std::find(contacts.begin(), contacts.end(), c) == contacts.end()) {
-          contacts.push_back(c);
-        }
+  // Bootstrap + warm-up. Cyclon bootstraps from a full view of random
+  // contacts; NeEM from a few, its shuffles then mixing the connection
+  // graph toward the target degree; HyParView joins are staggered, each
+  // through a random already-joined contact.
+  Rng boot = root.split(0x626f6f74ULL);
+  auto random_contacts = [&config, &boot](NodeId id, std::size_t count) {
+    std::vector<NodeId> contacts;
+    while (contacts.size() < count && contacts.size() + 1 < config.num_nodes) {
+      const NodeId c = static_cast<NodeId>(boot.below(config.num_nodes));
+      if (c != id &&
+          std::find(contacts.begin(), contacts.end(), c) == contacts.end()) {
+        contacts.push_back(c);
       }
-      nodes[id]->cyclon->bootstrap(contacts);
-      nodes[id]->cyclon->start();
     }
-  } else if (config.overlay_kind == OverlayKind::neem) {
-    // Each node bootstraps toward a few random contacts; shuffles then mix
-    // the connection graph toward the target degree.
-    Rng boot = root.split(0x626f6f74ULL);
-    for (NodeId id = 0; id < config.num_nodes; ++id) {
-      std::vector<NodeId> contacts;
-      while (contacts.size() < 5 && contacts.size() + 1 < config.num_nodes) {
-        const NodeId c = static_cast<NodeId>(boot.below(config.num_nodes));
-        if (c != id &&
-            std::find(contacts.begin(), contacts.end(), c) == contacts.end()) {
-          contacts.push_back(c);
-        }
-      }
-      nodes[id]->neem->bootstrap(contacts);
-      nodes[id]->neem->start();
-    }
-  } else if (config.overlay_kind == OverlayKind::hyparview) {
-    // Staggered joins, each through a random already-joined contact.
-    Rng boot = root.split(0x626f6f74ULL);
-    for (NodeId id = 0; id < config.num_nodes; ++id) {
-      nodes[id]->hyparview->start();
+    return contacts;
+  };
+  for (NodeId id = 0; id < config.num_nodes; ++id) {
+    NodeStack& node = *nodes[id];
+    if (node.cyclon) {
+      node.cyclon->bootstrap(random_contacts(id, config.overlay.view_size));
+      node.cyclon->start();
+    } else if (node.neem) {
+      node.neem->bootstrap(random_contacts(id, 5));
+      node.neem->start();
+    } else if (node.hyparview) {
+      node.hyparview->start();
       if (id == 0) continue;
       const NodeId contact = static_cast<NodeId>(boot.below(id));
       const SimTime when = 50 * kMillisecond * id;
       ESM_CHECK(when < config.warmup, "warmup too short for staggered joins");
-      overlay::HyParViewNode* hpv = nodes[id]->hyparview.get();
-      sim.schedule_at(when, [hpv, contact] { hpv->join(contact); });
+      overlay::HyParViewNode* hpv = node.hyparview.get();
+      engine.sim_for(id).schedule_at(when,
+                                     [hpv, contact] { hpv->join(contact); });
     }
   }
   for (NodeId id = 0; id < config.num_nodes; ++id) {
     if (nodes[id]->ping) nodes[id]->ping->start();
     if (nodes[id]->rank_estimator) nodes[id]->rank_estimator->start();
   }
-  sim.run_until(config.warmup);
+  engine.run_until(config.warmup);
 
-  // --- 4. Failure injection ---------------------------------------------------
+  // --- schedule: kills, churn, scenario, traffic, GC, census -------------
+  // Failure injection: kills execute between run_until() segments, when
+  // no shard worker is running.
   std::vector<bool> dead(config.num_nodes, false);
   const auto num_kill = static_cast<std::uint32_t>(std::lround(
       config.kill_fraction * static_cast<double>(config.num_nodes)));
@@ -868,10 +1016,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   ESM_CHECK(!live.empty(), "all nodes were killed");
 
-  // --- 5. Traffic --------------------------------------------------------------
-  transport.stats().reset();  // measure only the logged phase
+  transport.reset_stats();  // measure only the logged phase
   transport.reset_egress_stats();
-  if (run_metrics) {
+  if (trk) {
     // Per-node queue-delay/depth histograms over the measurement phase.
     // Observation only: the listener fires on drain pops that happen
     // anyway, no RNG draws, no extra events.
@@ -915,7 +1062,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // the live population near its initial size.
   Rng churn_rng = root.split(0x6368726eULL);
   std::vector<NodeId> churn_dead;
-  sim::PeriodicTimer churn_timer(sim, [&] {
+  sim::PeriodicTimer churn_timer(engine.control(), [&] {
     const std::uint32_t live_min = std::max<std::uint32_t>(
         2, static_cast<std::uint32_t>(live.size()) / 2);
     std::uint32_t live_now = 0;
@@ -963,9 +1110,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     hooks.on_recover = [&rejoin_overlay, &rejoin_rng](NodeId back) {
       rejoin_overlay(back, rejoin_rng);
     };
-    hooks.on_phase = [pw, trace_log, &sim](const std::string& label) {
-      if (pw) pw->start_phase(sim.now(), label);
-      if (trace_log) trace_log->record_phase({sim.now(), label});
+    hooks.on_phase = [pw, trace_log, &engine](const std::string& label) {
+      if (pw) pw->start_phase(engine.control().now(), label);
+      if (trace_log) trace_log->record_phase({engine.control().now(), label});
     };
     hooks.on_churn_rate = set_churn_rate;
     hooks.on_noise = [&nodes](double level) {
@@ -973,13 +1120,91 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         if (stack->noisy) stack->noisy->set_noise(level);
       }
     };
-    injector.emplace(sim, transport, config.scenario, closeness_order,
-                     root.split(0x6661756cULL), std::move(hooks));
+    injector.emplace(engine.control(), transport, config.scenario,
+                     closeness_order, root.split(0x6661756cULL),
+                     std::move(hooks));
     injector->set_initial_noise(config.strategy.noise);
     injector->arm(config.warmup);
   }
 
-  std::deque<std::pair<SimTime, MsgId>> active_messages;
+  // Traffic. A message's sender falls forward past silenced nodes through
+  // its origin pool (topic members, or all nodes); its reliability
+  // denominator is the pool's live audience when the sender is resolved.
+  struct Resolved {
+    NodeId sender = kInvalidNode;  // kInvalidNode: the whole pool is down
+    std::uint32_t audience = 0;
+  };
+  auto resolve_sender = [&](std::uint32_t i, NodeId planned) {
+    const std::uint32_t topic =
+        use_workload ? plan.arrivals[i].topic : load::kNoTopic;
+    Resolved r;
+    if (topic != load::kNoTopic) {
+      const std::vector<NodeId>& pool = plan.topic_members[topic];
+      std::size_t idx = plan.arrivals[i].origin_index % pool.size();
+      for (std::size_t step = 0;
+           transport.is_silenced(pool[idx]) && step < pool.size(); ++step) {
+        idx = (idx + 1) % pool.size();
+      }
+      r.sender = pool[idx];
+      for (const NodeId m : pool) {
+        if (!transport.is_silenced(m)) ++r.audience;
+      }
+    } else {
+      r.sender = planned;
+      for (std::uint32_t step = 0;
+           transport.is_silenced(r.sender) && step < config.num_nodes;
+           ++step) {
+        r.sender = (r.sender + 1) % config.num_nodes;
+      }
+      for (NodeId n = 0; n < config.num_nodes; ++n) {
+        if (!transport.is_silenced(n)) ++r.audience;
+      }
+    }
+    if (transport.is_silenced(r.sender)) r.sender = kInvalidNode;
+    return r;
+  };
+  struct ActiveMsg {
+    SimTime at = 0;
+    std::uint32_t seq = 0;
+    MsgId id{};
+  };
+  std::vector<std::deque<ActiveMsg>> active_messages(num_shards);
+  // Runs on the sender's shard at the multicast's time.
+  auto multicast = [&](std::uint32_t i, NodeId sender, std::uint32_t bytes,
+                       std::uint32_t audience) {
+    const std::uint32_t shard = engine.shard_of(sender);
+    const SimTime now = engine.sim_for(sender).now();
+    messages[i].live_at_send = audience;
+    if (pw) pw->on_multicast(i, audience);
+    goodputs[shard].on_offered(now, audience);
+    const core::AppMessage msg =
+        nodes[sender]->gossip->multicast(bytes, i, now);
+    active_messages[shard].push_back({now, i, msg.id});
+  };
+  // The single engine resolves senders at fire time, because churn and
+  // scenarios change membership mid-run. The sharded engine resolves them
+  // now: its silenced set is frozen from here on (churn and scenarios are
+  // gated), so the result is the same node, and the multicast is
+  // scheduled straight onto that node's shard — a fall-forward never runs
+  // a multicast on another shard's worker.
+  auto schedule_multicast = [&](std::uint32_t i, NodeId planned,
+                                std::uint32_t bytes, SimTime when) {
+    if (num_shards == 1) {
+      engine.control().schedule_at(
+          when, [&resolve_sender, &multicast, i, planned, bytes] {
+            const Resolved r = resolve_sender(i, planned);
+            if (r.sender != kInvalidNode) {
+              multicast(i, r.sender, bytes, r.audience);
+            }
+          });
+      return;
+    }
+    const Resolved r = resolve_sender(i, planned);
+    if (r.sender == kInvalidNode) return;
+    engine.sim_for(r.sender).schedule_at(when, [&multicast, i, r, bytes] {
+      multicast(i, r.sender, bytes, r.audience);
+    });
+  };
   SimTime last_send = config.warmup;
   if (use_workload) {
     // Workload plan: every arrival is pre-resolved; scheduling consumes
@@ -989,50 +1214,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       const load::Arrival& arr = plan.arrivals[i];
       const SimTime when = config.warmup + arr.at;
       last_send = std::max(last_send, when);
-      sim.schedule_at(when, [arr, i, &sim, &active_messages, &nodes,
-                             &transport, &messages, &config, &plan, &goodput,
-                             pw] {
-        // Under churn the planned origin may be down at fire time: fall
-        // forward through the origin pool (topic members, or all nodes),
-        // mirroring the legacy loop's fall-forward.
-        NodeId sender = arr.origin;
-        if (arr.topic != load::kNoTopic) {
-          const std::vector<NodeId>& pool = plan.topic_members[arr.topic];
-          std::size_t idx = arr.origin_index % pool.size();
-          for (std::size_t step = 0;
-               transport.is_silenced(pool[idx]) && step < pool.size();
-               ++step) {
-            idx = (idx + 1) % pool.size();
-          }
-          sender = pool[idx];
-        } else {
-          for (std::uint32_t step = 0;
-               transport.is_silenced(sender) && step < config.num_nodes;
-               ++step) {
-            sender = (sender + 1) % config.num_nodes;
-          }
-        }
-        if (transport.is_silenced(sender)) return;  // whole pool down
-        // The reliability denominator is the message's live audience.
-        std::uint32_t audience = 0;
-        if (arr.topic != load::kNoTopic) {
-          for (const NodeId m : plan.topic_members[arr.topic]) {
-            if (!transport.is_silenced(m)) ++audience;
-          }
-        } else {
-          for (NodeId n = 0; n < config.num_nodes; ++n) {
-            if (!transport.is_silenced(n)) ++audience;
-          }
-        }
-        messages[i].live_at_send = audience;
-        if (pw) pw->on_multicast(i, audience);
-        goodput.on_offered(sim.now(), audience);
-        const std::uint32_t bytes =
-            arr.payload_bytes != 0 ? arr.payload_bytes : config.payload_bytes;
-        const core::AppMessage msg =
-            nodes[sender]->gossip->multicast(bytes, i, sim.now());
-        active_messages.emplace_back(sim.now(), msg.id);
-      });
+      schedule_multicast(
+          i, arr.origin,
+          arr.payload_bytes != 0 ? arr.payload_bytes : config.payload_bytes,
+          when);
     }
   } else {
     Rng traffic = root.split(0x74726166ULL);
@@ -1048,49 +1233,38 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       const NodeId planned = config.single_sender != kInvalidNode
                                  ? config.single_sender
                                  : live[i % live.size()];
-      const std::uint32_t bytes = config.payload_bytes;
-      sim.schedule_at(t, [planned, bytes, i, &sim, &active_messages, &nodes,
-                          &transport, &messages, &config, &goodput, pw] {
-        // Under churn the planned sender may be down at fire time: fall
-        // forward to the next live node.
-        NodeId sender = planned;
-        for (std::uint32_t step = 0;
-             transport.is_silenced(sender) && step < config.num_nodes;
-             ++step) {
-          sender = (sender + 1) % config.num_nodes;
-        }
-        if (transport.is_silenced(sender)) return;  // everyone down
-        std::uint32_t live_now = 0;
-        for (NodeId n = 0; n < config.num_nodes; ++n) {
-          if (!transport.is_silenced(n)) ++live_now;
-        }
-        messages[i].live_at_send = live_now;
-        if (pw) pw->on_multicast(i, live_now);
-        goodput.on_offered(sim.now(), live_now);
-        const core::AppMessage msg =
-            nodes[sender]->gossip->multicast(bytes, i, sim.now());
-        active_messages.emplace_back(sim.now(), msg.id);
-      });
+      schedule_multicast(i, planned, config.payload_bytes, t);
     }
   }
 
   // Optional garbage collection: periodically drop protocol state for
-  // messages past their lifetime, on every node (§3.1/§3.2).
+  // messages past their lifetime, on every node (§3.1/§3.2). A control
+  // event, so sweeping every shard's state is race-free; expired entries
+  // merge in (time, seq) order so the sequence is shard-count invariant.
   std::uint64_t gc_collected = 0;
-  sim::PeriodicTimer gc_timer(sim, [&] {
+  sim::PeriodicTimer gc_timer(engine.control(), [&] {
     if (config.message_lifetime <= 0) return;
-    std::vector<MsgId> expired;
-    while (!active_messages.empty() &&
-           active_messages.front().first + config.message_lifetime <
-               sim.now()) {
-      expired.push_back(active_messages.front().second);
-      active_messages.pop_front();
+    std::vector<ActiveMsg> expired;
+    const SimTime gc_now = engine.control().now();
+    for (std::deque<ActiveMsg>& shard_active : active_messages) {
+      while (!shard_active.empty() &&
+             shard_active.front().at + config.message_lifetime < gc_now) {
+        expired.push_back(shard_active.front());
+        shard_active.pop_front();
+      }
     }
     if (expired.empty()) return;
+    std::sort(expired.begin(), expired.end(),
+              [](const ActiveMsg& a, const ActiveMsg& b) {
+                return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+              });
     gc_collected += expired.size();
+    std::vector<MsgId> ids;
+    ids.reserve(expired.size());
+    for (const ActiveMsg& m : expired) ids.push_back(m.id);
     for (const auto& stack : nodes) {
-      stack->gossip->garbage_collect(expired);
-      stack->scheduler->garbage_collect(expired);
+      stack->gossip->garbage_collect(ids);
+      stack->scheduler->garbage_collect(ids);
     }
   });
   if (config.message_lifetime > 0) {
@@ -1100,7 +1274,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // Connection census (§5.4): sample simultaneous NeEM connections once
   // per second; each symmetric connection is held by two endpoints.
   std::uint64_t peak_simultaneous = 0;
-  sim::PeriodicTimer census_timer(sim, [&] {
+  sim::PeriodicTimer census_timer(engine.control(), [&] {
     std::uint64_t endpoints = 0;
     for (const auto& stack : nodes) {
       if (stack->neem) endpoints += stack->neem->connections().size();
@@ -1111,19 +1285,35 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     census_timer.start(0, 1 * kSecond);
   }
 
-  sim.run_until(last_send + config.drain);
+  // --- run ----------------------------------------------------------------
+  engine.run_until(last_send + config.drain);
   gc_timer.stop();
   churn_timer.stop();
   census_timer.stop();
   // Streaming trace: emit payload rows whose packets never arrived.
   if (trace_log && trace_log->streaming()) trace_log->flush();
 
-  // --- 6. Aggregate --------------------------------------------------------------
+  // --- finalize -----------------------------------------------------------
   ExperimentResult result;
   result.live_nodes = static_cast<std::uint32_t>(live.size());
-  result.events_executed = sim.events_executed();
-  if (pw) result.phase_reports = pw->finalize(sim.now());
+  result.events_executed = engine.events_executed();
+  if (pw) result.phase_reports = pw->finalize(engine.now());
   if (injector) result.faults_injected = injector->events_applied();
+
+  if (!delivery_log.empty()) {
+    std::vector<DeliveryRec> replay;
+    std::size_t total_recs = 0;
+    for (const auto& log : delivery_log) total_recs += log.size();
+    replay.reserve(total_recs);
+    for (const auto& log : delivery_log) {
+      replay.insert(replay.end(), log.begin(), log.end());
+    }
+    std::stable_sort(replay.begin(), replay.end(),
+                     [](const DeliveryRec& a, const DeliveryRec& b) {
+                       return a.at != b.at ? a.at < b.at : a.node < b.node;
+                     });
+    for (const DeliveryRec& rec : replay) apply_delivery(rec);
+  }
 
   stats::RunningStat per_msg_latency;
   stats::RunningStat delivery_fraction;
@@ -1131,6 +1321,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   std::uint32_t atomic = 0;
   result.expected_deliveries.reserve(messages.size());
   for (const MsgRecord& rec : messages) {
+    ESM_CHECK(rec.deliveries <= config.num_nodes,
+              "a node delivered the same message twice");
     total_deliveries += rec.deliveries;
     // Under churn the denominator is the live population at send time;
     // nodes revived mid-flight can push the raw ratio past 1.
@@ -1152,15 +1344,24 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.atomic_delivery_fraction =
       static_cast<double>(atomic) / static_cast<double>(num_messages);
 
-  const net::TrafficStats& tstats = transport.stats();
+  // The run-wide traffic view: the transport's one slot on the single
+  // engine, the sum of the per-shard slots on the sharded one.
+  std::optional<net::TrafficStats> merged_stats;
+  if (num_shards >= 2) merged_stats.emplace(transport.merged_stats());
+  const net::TrafficStats& tstats =
+      merged_stats ? *merged_stats : transport.stats();
   result.payload_packets = tstats.total_payload_packets();
   result.control_packets = tstats.total_packets() - tstats.total_payload_packets();
   result.total_bytes = tstats.total_bytes();
   result.packets_lost = transport.packets_lost();
   result.buffer_drops = transport.buffer_drops();
 
-  // Goodput / saturation view of the same run.
-  const obs::GoodputReport gp = goodput.finalize(sim.now());
+  // Goodput / saturation view of the same run; the per-shard trackers fold
+  // into one first (summed counters/buckets; watermark clocks joined).
+  for (std::uint32_t s = 1; s < num_shards; ++s) {
+    goodputs.front().merge(goodputs[s]);
+  }
+  const obs::GoodputReport gp = goodputs.front().finalize(engine.now());
   result.offered_msgs = gp.offered_msgs;
   result.offered_msgs_per_s = gp.offered_msgs_per_s;
   result.goodput_msgs_per_s = gp.goodput_msgs_per_s;
@@ -1178,14 +1379,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       static_cast<double>(egress_totals.max_sojourn_us) / 1000.0;
   result.egress_peak_depth = egress_totals.peak_depth;
   result.egress_peak_queued_bytes = egress_totals.peak_queued_bytes;
-  // Backpressure accounting (all zero when --backpressure off).
-  for (const auto& stack : nodes) {
-    const core::SchedulerStats& ss = stack->scheduler->stats();
-    result.eager_deferred += ss.eager_deferred;
-    result.replies_deferred += ss.replies_deferred;
-    result.drops_readvertised += ss.drops_readvertised;
-    result.iwants_purged += ss.iwants_purged;
-  }
   result.watermark_episodes = gp.watermark_episodes;
   result.watermark_residency_ms = gp.watermark_residency_ms;
 
@@ -1228,11 +1421,22 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.load_best = {best_load.mean(),
                       static_cast<std::uint32_t>(best_load.count())};
 
-  result.top5_connection_share = tstats.top_connection_payload_share(0.05);
+  // Connections by payload count, busiest first. The single engine keeps
+  // equal-count ties in hash-map iteration order (the goldens pin it); on
+  // the sharded engine that order depends on the shard partition
+  // (merged_stats() rebuilds the link map shard by shard), so ties break
+  // by endpoint there. The top-5% share is a sum over the busiest
+  // entries, which no tie order changes.
   result.connection_payloads = tstats.undirected_payload_counts();
+  const bool ties_by_endpoint = num_shards >= 2;
   std::sort(result.connection_payloads.begin(),
             result.connection_payloads.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
+            [ties_by_endpoint](const auto& a, const auto& b) {
+              if (a.second != b.second) return a.second > b.second;
+              return ties_by_endpoint && a.first < b.first;
+            });
+  result.top5_connection_share = net::top_payload_share(
+      result.connection_payloads, tstats.total_payload_packets(), 0.05);
   result.node_payloads.resize(config.num_nodes);
   for (NodeId id = 0; id < config.num_nodes; ++id) {
     result.node_payloads[id] = tstats.node_sent_payload(id);
@@ -1240,42 +1444,38 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.client_coords = topo.client_coords;
   if (needs_best) result.best_nodes = oracle_best;
 
-  for (const MsgRecord& rec : messages) {
-    ESM_CHECK(rec.deliveries <= config.num_nodes,
-              "a node delivered the same message twice");
-  }
-
-  std::uint64_t dups = 0, reqs = 0, prunes = 0;
-  std::uint64_t retries = 0, gave_up = 0, still_pending = 0;
+  std::uint64_t still_pending = 0;
   for (const auto& stack : nodes) {
-    dups += stack->scheduler->stats().duplicate_payloads;
-    reqs += stack->scheduler->stats().requests_sent;
-    prunes += stack->scheduler->stats().prunes_sent;
-    retries += stack->scheduler->stats().iwant_retries;
-    gave_up += stack->scheduler->stats().recovery_gave_up;
+    const core::SchedulerStats& ss = stack->scheduler->stats();
+    result.duplicate_payloads += ss.duplicate_payloads;
+    result.requests_sent += ss.requests_sent;
+    result.prunes_sent += ss.prunes_sent;
+    result.iwant_retries += ss.iwant_retries;
+    result.recovery_gave_up += ss.recovery_gave_up;
+    // Backpressure accounting (all zero when --backpressure off).
+    result.eager_deferred += ss.eager_deferred;
+    result.replies_deferred += ss.replies_deferred;
+    result.drops_readvertised += ss.drops_readvertised;
+    result.iwants_purged += ss.iwants_purged;
     still_pending += stack->scheduler->pending_requests();
-  }
-  result.duplicate_payloads = dups;
-  result.requests_sent = reqs;
-  result.prunes_sent = prunes;
-  result.iwant_retries = retries;
-  result.recovery_gave_up = gave_up;
-  result.recovery_stalled = gave_up + still_pending;
-  result.payload_tx_per_message = std::move(payload_tx_per_message);
-  result.trace = trace_log;
-  result.peak_simultaneous_connections = peak_simultaneous;
-  for (const auto& stack : nodes) {
     // Each opened symmetric connection is counted at both endpoints.
     if (stack->neem) {
       result.connections_opened += stack->neem->connections_opened();
     }
-  }
-  result.connections_opened /= 2;
-  result.messages_garbage_collected = gc_collected;
-  for (const auto& stack : nodes) {
     result.max_known_messages =
         std::max(result.max_known_messages, stack->gossip->known_count());
   }
+  result.recovery_stalled = result.recovery_gave_up + still_pending;
+  result.connections_opened /= 2;
+  result.payload_tx_per_message = std::move(payload_tx.front());
+  for (std::uint32_t s = 1; s < num_shards; ++s) {
+    for (std::uint32_t i = 0; i < num_messages; ++i) {
+      result.payload_tx_per_message[i] += payload_tx[s][i];
+    }
+  }
+  result.trace = trace_log;
+  result.peak_simultaneous_connections = peak_simultaneous;
+  result.messages_garbage_collected = gc_collected;
 
   if (wrap_noise) {
     stats::RunningStat c_est;
@@ -1300,7 +1500,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
         obs::analyze_trees(*trace_log, topt));
     // All-pairs mean one-way overlay latency: the strategy-independent
     // baseline for the tree-edge latency comparison, derived from the
-    // closeness pass of section 1.
+    // closeness pass of build_world.
     double closeness_total = 0.0;
     for (const double s : closeness_sums) closeness_total += s;
     const double ordered_pairs =
@@ -1321,9 +1521,15 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.tree_stats = std::move(tree);
   }
 
+  // The whole run's path-model footprint and work, replicas included.
   result.path_model_bytes = metrics.memory_bytes();
   result.path_rows_computed = metrics.rows_computed();
   result.path_row_evictions = metrics.row_evictions();
+  for (const auto& replica : shard_paths) {
+    result.path_model_bytes += replica->memory_bytes();
+    result.path_rows_computed += replica->rows_computed();
+    result.path_row_evictions += replica->row_evictions();
+  }
   if (trk) {
     // Deterministic memory gauges (peak RSS is process-wide and
     // scheduling-dependent, so it stays out of the metrics document).
@@ -1338,10 +1544,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     // Arena high-water marks: the intern table never shrinks, so the
     // final size IS the run's peak — exactly what matters under many
     // concurrent messages.
-    run_metrics->aggregate.gauge_max(
-        "arena.messages", static_cast<double>(msg_arena.size()));
-    run_metrics->aggregate.gauge_max(
-        "arena.bytes", static_cast<double>(msg_arena.bytes()));
+    const core::MessageArena& arena = arenas.front();
+    run_metrics->aggregate.gauge_max("arena.messages",
+                                     static_cast<double>(arena.size()));
+    run_metrics->aggregate.gauge_max("arena.bytes",
+                                     static_cast<double>(arena.bytes()));
     // Goodput/saturation and egress serialization, for --metrics-out
     // consumers (counters sum, gauges max across --reps merges).
     obs::MetricsRegistry& gagg = run_metrics->aggregate;
@@ -1400,899 +1607,39 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       agg.histogram("tree.jaccard_permille").merge(t.jaccard_permille);
     }
     trk->finalize();
-    result.metrics = run_metrics;
-  }
-  return result;
-}
-
-namespace {
-
-// The sharded engine's assembly. A deliberate near-copy of
-// run_experiment: both functions build the same stacks in the same RNG
-// split order, so the two engines diverge only in event execution order
-// (and the sections the v1 gates exclude). Every departure from the
-// legacy assembly is marked with a "sharded:" comment; when editing one
-// function, mirror the change in the other.
-ExperimentResult run_experiment_sharded(const ExperimentConfig& config) {
-  // Authoritative v1 gates. The CLI enforces the same set at parse time,
-  // but tools mutate the config after parsing (esm_run applies --trace /
-  // --metrics-out itself), so the run is where the contract is checked.
-  ESM_CHECK(config.scenario.empty(),
-            "--shards >= 2: scenario scripts need the single-threaded engine");
-  ESM_CHECK(config.churn_rate == 0.0,
-            "--shards >= 2: churn needs the single-threaded engine");
-  ESM_CHECK(!config.collect_trace && config.trace_sink == nullptr,
-            "--shards >= 2: trace collection needs the single-threaded "
-            "engine");
-  ESM_CHECK(!config.collect_tree_stats,
-            "--shards >= 2: tree stats need the single-threaded engine");
-  // collect_metrics is allowed: the sharded engine exports the sim.shard.*
-  // execution block (no per-node lifecycle instrumentation — that tracker
-  // is single-threaded).
-  ESM_CHECK(config.strategy.noise == 0.0,
-            "--shards >= 2: strategy noise needs the single-threaded engine "
-            "(the shared calibration is order-dependent)");
-  ESM_CHECK(config.num_nodes >= 2, "need at least two nodes");
-  ESM_CHECK(config.kill_fraction >= 0.0 && config.kill_fraction < 1.0,
-            "kill fraction must be in [0, 1)");
-  Rng root(config.seed);
-
-  const bool use_workload = !config.workload.empty();
-  load::WorkloadPlan plan;
-  if (use_workload) {
-    plan = load::build_plan(config.workload, config.num_nodes,
-                            root.split(0x776b6c64ULL));  // "wkld"
-    ESM_CHECK(!plan.arrivals.empty(),
-              "workload generated no arrivals (rate * duration too small)");
-  }
-  const std::uint32_t num_messages =
-      use_workload ? static_cast<std::uint32_t>(plan.size())
-                   : config.num_messages;
-  const SimTime effective_interval =
-      use_workload
-          ? config.workload.duration / static_cast<SimTime>(plan.size())
-          : config.mean_interval;
-
-  // --- 1. Underlay, routing, ranking --------------------------------------
-  net::TopologyParams topo_params = config.topology;
-  topo_params.num_clients = config.num_nodes;
-  const net::Topology topo = generate_topology(topo_params, config.seed);
-  const std::unique_ptr<net::PathModel> path_model =
-      net::make_path_model(topo, config.path_model, config.path_cache_bytes);
-  const net::PathModel& metrics = *path_model;
-  net::PathLatencyModel latency(metrics);
-
-  // sharded: the world and its conservative window width. Jitter can
-  // shrink a one-way delay to (1 - jitter) of the routed latency, never
-  // below, so that scaling of the model's lower bound is a valid
-  // lookahead for every cross-shard packet.
-  const std::uint32_t num_shards = config.shards;
-  sim::ShardedSimulator world(num_shards);
-  const SimTime path_floor = metrics.min_latency_lower_bound();
-  const auto lookahead = std::max<SimTime>(
-      1, static_cast<SimTime>(std::floor(static_cast<double>(path_floor) *
-                                         (1.0 - config.jitter))));
-  world.set_lookahead(lookahead);
-
-  // sharded: the on-demand path model mutates an LRU row cache under
-  // latency(), so each shard gets a private replica (identical answers,
-  // separate caches). The dense matrix is immutable and safely shared.
-  const bool ondemand_paths =
-      net::resolve_path_model(config.path_model, config.num_nodes) ==
-      net::PathModelKind::ondemand;
-  std::vector<std::unique_ptr<net::PathModel>> shard_paths;
-  std::deque<net::PathLatencyModel> shard_latency_models;
-  std::vector<const net::LatencyModel*> shard_latency;
-  if (ondemand_paths) {
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      shard_paths.push_back(net::make_path_model(topo, config.path_model,
-                                                 config.path_cache_bytes));
-      shard_latency_models.emplace_back(*shard_paths.back());
-      shard_latency.push_back(&shard_latency_models.back());
-    }
   }
 
-  const bool needs_monitor = config.strategy.kind == StrategyKind::radius ||
-                             config.strategy.kind == StrategyKind::hybrid;
-  const bool needs_best = config.strategy.kind == StrategyKind::ranked ||
-                          config.strategy.kind == StrategyKind::hybrid;
-  const bool use_gossip_rank = needs_best && config.strategy.use_gossip_rank;
-  const bool needs_closeness =
-      needs_best || (config.kill_fraction > 0.0 &&
-                     config.kill_mode == KillMode::best_ranked);
-
-  std::vector<double> closeness_sums;
-  std::vector<NodeId> closeness_order;
-  if (needs_closeness) {
-    closeness_sums = metrics.closeness_sums();
-    closeness_order = order_by_closeness_sums(closeness_sums);
-  }
-
-  std::vector<NodeId> oracle_best;
-  if (needs_best) {
-    const auto num_best = static_cast<std::uint32_t>(std::lround(
-        config.strategy.best_fraction *
-        static_cast<double>(config.num_nodes)));
-    oracle_best.assign(closeness_order.begin(),
-                       closeness_order.begin() +
-                           std::min<std::uint32_t>(num_best,
-                                                   config.num_nodes));
-  }
-
-  net::TransportOptions topts;
-  topts.loss_rate = config.loss_rate;
-  topts.bandwidth_bps = config.bandwidth_bps;
-  topts.jitter = config.jitter;
-  topts.egress_buffer_bytes = config.egress_buffer_bytes;
-  topts.purge_policy = config.purge_policy;
-  if (config.backpressure && config.egress_buffer_bytes > 0) {
-    topts.high_watermark = config.bp_high_watermark;
-    topts.low_watermark = config.bp_low_watermark;
-  }
-  if (config.slow_fraction > 0.0) {
-    topts.node_bandwidth_bps.assign(config.num_nodes, config.bandwidth_bps);
-    std::vector<NodeId> everyone(config.num_nodes);
-    std::iota(everyone.begin(), everyone.end(), 0);
-    Rng slow_rng = root.split(0x736c6f77ULL);
-    const auto num_slow = static_cast<std::uint32_t>(std::lround(
-        config.slow_fraction * static_cast<double>(config.num_nodes)));
-    for (const NodeId s : slow_rng.sample(everyone, num_slow)) {
-      topts.node_bandwidth_bps[s] = config.slow_bandwidth_bps;
-    }
-  }
-  const wire::WireCodec wire_codec;
-  if (config.use_wire_codec) topts.codec = &wire_codec;
-  // sharded: the constructor's simulator is only the unsharded fallback;
-  // bind_shards() switches every per-node schedule to the shard sims and
-  // splits the transport's accounting and RNG per shard/node.
-  net::Transport transport(world.shard(0), latency, config.num_nodes, topts,
-                           root.split(0x7472616eULL));
-  transport.bind_shards(world, shard_latency);
-
-  // Shared oracle components. sharded: radius/hybrid metric() queries run
-  // on shard worker threads, so with on-demand paths each shard's nodes
-  // read a monitor over their shard's private latency replica.
-  std::deque<core::OracleLatencyMonitor> oracle_monitors;
-  if (ondemand_paths) {
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      oracle_monitors.emplace_back(shard_latency_models[s]);
-    }
-  } else {
-    oracle_monitors.emplace_back(latency);
-  }
-  core::DistanceMonitor distance_monitor(topo.client_coords);
-  core::StaticBestSet static_best(oracle_best);
-
-  // --- 2. Per-node stacks ---------------------------------------------------
-  struct MsgRecord {
-    std::uint32_t deliveries = 0;
-    std::uint32_t live_at_send = 0;
-    stats::RunningStat latency_ms;  // non-origin deliveries
-  };
-  std::vector<MsgRecord> messages(num_messages);
-  stats::Samples all_latency_ms;
-
-  // sharded: every mutable accumulator a node callback touches splits per
-  // shard. Order-insensitive counters merge by summation afterwards;
-  // order-sensitive ones (the latency Samples/RunningStat) are logged per
-  // shard and replayed in canonical order after the run.
-  struct DeliveryRec {
-    SimTime at = 0;
-    NodeId node = kInvalidNode;
-    std::uint32_t seq = 0;
-    SimTime latency = 0;
-    bool on_topic = true;
-    bool origin = false;
-  };
-  std::vector<std::vector<DeliveryRec>> delivery_log(num_shards);
-  std::vector<std::vector<std::uint32_t>> payload_tx(
-      num_shards, std::vector<std::uint32_t>(num_messages, 0));
-  std::deque<obs::GoodputTracker> goodputs;
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    goodputs.emplace_back(config.warmup);
-  }
-  // sharded: one message arena per shard. MsgIds are global, the interned
-  // MsgKeys are shard-local — nothing ever compares keys across shards.
-  std::deque<core::MessageArena> arenas(num_shards);
-  for (core::MessageArena& arena : arenas) arena.reserve(num_messages);
-
-  std::vector<std::uint32_t> msg_topic(
-      use_workload ? num_messages : 0, load::kNoTopic);
-  std::vector<compact::DynamicBitset> topic_member(plan.topic_members.size());
-  for (std::size_t t = 0; t < plan.topic_members.size(); ++t) {
-    for (const NodeId m : plan.topic_members[t]) topic_member[t].set(m);
-  }
-  if (use_workload) {
-    for (std::uint32_t i = 0; i < num_messages; ++i) {
-      msg_topic[i] = plan.arrivals[i].topic;
-    }
-  }
-
-  std::vector<std::unique_ptr<NodeStack>> nodes;
-  nodes.reserve(config.num_nodes);
-
-  std::vector<double> closeness_score(config.num_nodes, 0.0);
-  if (use_gossip_rank) {
-    for (NodeId n = 0; n < config.num_nodes; ++n) {
-      closeness_score[n] = -closeness_sums[n];
-    }
-  }
-
-  overlay::CsrAdjacency static_adj;
-  if (config.overlay_kind == OverlayKind::static_random) {
-    static_adj = overlay::CsrAdjacency::from_lists(
-        overlay::build_symmetric_overlay(config.num_nodes,
-                                         config.overlay.view_size,
-                                         root.split(0x73746174ULL)));
-  }
-
-  const std::size_t expected_window =
-      config.message_lifetime > 0 && effective_interval > 0
-          ? std::min<std::size_t>(
-                num_messages,
-                static_cast<std::size_t>(config.message_lifetime /
-                                         effective_interval) +
-                    16)
-          : num_messages;
-
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
-    auto stack = std::make_unique<NodeStack>();
-    Rng node_rng = root.split(0x100000ULL + id);
-    // sharded: everything this node schedules lives on its shard's sim.
-    sim::Simulator& nsim = world.shard_for(id);
-    const std::uint32_t shard = world.shard_of(id);
-    obs::GoodputTracker* const gp = &goodputs[shard];
-
-    switch (config.overlay_kind) {
-      case OverlayKind::static_random:
-        stack->static_sampler =
-            std::make_unique<overlay::StaticNeighborSampler>(
-                static_adj, id, node_rng.split(1));
-        stack->sampler = stack->static_sampler.get();
-        break;
-      case OverlayKind::oracle:
-        stack->oracle_sampler =
-            std::make_unique<overlay::FullMembershipSampler>(
-                transport, id, node_rng.split(1));
-        stack->sampler = stack->oracle_sampler.get();
-        break;
-      case OverlayKind::hyparview: {
-        overlay::HyParViewParams hpv;
-        hpv.active_size = config.overlay.view_size;
-        stack->hyparview = std::make_unique<overlay::HyParViewNode>(
-            nsim, transport, id, hpv, node_rng.split(1));
-        stack->sampler = stack->hyparview.get();
-        break;
-      }
-      case OverlayKind::neem: {
-        overlay::NeemParams np;
-        np.target_degree = config.overlay.view_size;
-        np.max_degree = config.overlay.view_size + config.overlay.view_size / 3;
-        stack->neem = std::make_unique<overlay::NeemNode>(
-            nsim, transport, id, np, node_rng.split(1));
-        stack->sampler = stack->neem.get();
-        break;
-      }
-      case OverlayKind::cyclon:
-        stack->cyclon = std::make_unique<overlay::CyclonNode>(
-            nsim, transport, id, config.overlay, node_rng.split(1));
-        stack->sampler = stack->cyclon.get();
-        break;
-    }
-
-    const core::PerformanceMonitor* monitor = nullptr;
-    if (needs_monitor) {
-      switch (config.strategy.monitor) {
-        case MonitorKind::oracle_latency:
-          monitor = &oracle_monitors[ondemand_paths ? shard : 0];
-          break;
-        case MonitorKind::distance:
-          monitor = &distance_monitor;
-          break;
-        case MonitorKind::ping:
-          stack->ping = std::make_unique<core::PingMonitor>(
-              nsim, transport, id, *stack->sampler,
-              core::PingMonitor::Params{}, node_rng.split(2));
-          monitor = stack->ping.get();
-          break;
-        case MonitorKind::piggyback:
-          stack->piggyback = std::make_unique<core::PiggybackMonitor>(id);
-          monitor = stack->piggyback.get();
-          break;
-      }
-    }
-
-    const core::BestSet* best = nullptr;
-    if (needs_best) {
-      if (use_gossip_rank) {
-        stack->rank_estimator = std::make_unique<rank::GossipRankEstimator>(
-            nsim, transport, id, *stack->sampler, closeness_score[id],
-            config.strategy.best_fraction, rank::RankParams{},
-            node_rng.split(3));
-        best = stack->rank_estimator.get();
-      } else {
-        best = &static_best;
-      }
-    }
-
-    stack->strategy =
-        make_strategy(config, id, monitor, best, node_rng.split(4));
-    // sharded: no noise wrapper — strategy.noise is gated above. The
-    // split(5) the legacy assembly would consume is skipped on both
-    // engines only when noise is off, so the streams still line up.
-
-    NodeStack* raw = stack.get();
-    stack->scheduler = std::make_unique<core::PayloadScheduler>(
-        nsim, transport, id, *stack->strategy,
-        [raw](const core::AppMessage& msg, Round round, NodeId src) {
-          raw->gossip->l_receive(msg, round, src);
-        },
-        &arenas[shard]);
-    stack->scheduler->reserve(expected_window);
-    stack->scheduler->set_ihave_batch_window(config.ihave_batch_window);
-    stack->scheduler->set_pull_order(config.pull_sched);
-    if (config.backpressure) {
-      core::PayloadScheduler::BackpressureConfig bp;
-      bp.enabled = true;
-      bp.max_replies_per_dst = config.bp_max_replies_per_dst;
-      bp.readvertise_delay = config.retransmission_period;
-      stack->scheduler->set_backpressure(bp);
-      stack->scheduler->set_backpressure_listener(
-          [gp](core::PayloadScheduler::BpEvent event) {
-            if (event == core::PayloadScheduler::BpEvent::kEagerDeferred) {
-              gp->on_defer();
-            } else if (event ==
-                       core::PayloadScheduler::BpEvent::kDropReadvertised) {
-              gp->on_drop_recovery();
-            }
-          });
-    }
-    if (stack->piggyback) {
-      core::PiggybackMonitor* piggyback = stack->piggyback.get();
-      stack->scheduler->set_rtt_observer(
-          [piggyback](NodeId peer, SimTime rtt) {
-            piggyback->observe(peer, rtt);
-          });
-    }
-    std::vector<std::uint32_t>* const tx = &payload_tx[shard];
-    stack->scheduler->set_send_listener(
-        [tx, gp](const core::AppMessage& msg, NodeId /*dst*/,
-                 bool /*eager*/) {
-          if (msg.seq < tx->size()) ++(*tx)[msg.seq];
-          gp->on_payload();
-        });
-
-    core::GossipParams gossip_params = config.gossip;
-    if (config.adaptive_fanout) {
-      double mean_bw = 0.0;
-      for (NodeId n = 0; n < config.num_nodes; ++n) {
-        mean_bw += static_cast<double>(transport.node_bandwidth(n));
-      }
-      mean_bw /= static_cast<double>(config.num_nodes);
-      if (mean_bw > 0.0) {
-        const double scaled =
-            static_cast<double>(config.gossip.fanout) *
-            static_cast<double>(transport.node_bandwidth(id)) / mean_bw;
-        gossip_params.fanout = static_cast<std::uint32_t>(std::clamp(
-            std::lround(scaled), 3L,
-            2L * static_cast<long>(config.gossip.fanout)));
-      }
-    }
-    std::vector<DeliveryRec>* const log = &delivery_log[shard];
-    sim::Simulator* const nsp = &nsim;
-    stack->gossip = std::make_unique<core::GossipNode>(
-        id, gossip_params, *stack->sampler, *stack->scheduler,
-        [log, gp, nsp, id, &msg_topic,
-         &topic_member](const core::AppMessage& msg) {
-          const std::uint32_t topic =
-              msg.seq < msg_topic.size() ? msg_topic[msg.seq]
-                                         : load::kNoTopic;
-          const bool on_topic =
-              topic == load::kNoTopic || topic_member[topic].test(id);
-          if (on_topic) gp->on_delivery(nsp->now());
-          log->push_back({nsp->now(), id, msg.seq,
-                          nsp->now() - msg.multicast_time, on_topic,
-                          msg.origin == id});
-        },
-        node_rng.split(6));
-
-    nodes.push_back(std::move(stack));
-  }
-
-  // Packet mux: overlay -> ping -> rank -> scheduler.
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
-    NodeStack* stack = nodes[id].get();
-    transport.register_handler(
-        id, [stack](NodeId src, const net::PacketPtr& packet) {
-          if (stack->cyclon && stack->cyclon->handle_packet(src, packet)) return;
-          if (stack->hyparview && stack->hyparview->handle_packet(src, packet)) {
-            return;
-          }
-          if (stack->neem && stack->neem->handle_packet(src, packet)) return;
-          if (stack->ping && stack->ping->handle_packet(src, packet)) return;
-          if (stack->rank_estimator &&
-              stack->rank_estimator->handle_packet(src, packet)) {
-            return;
-          }
-          if (stack->scheduler->handle_packet(src, packet)) return;
-        });
-  }
-
-  if (config.backpressure && config.egress_buffer_bytes > 0) {
-    // sharded: both listeners fire on the *source* node's shard thread
-    // (send/drain/purge are src-side operations), so touching the source
-    // shard's goodput tracker and the source's scheduler is race-free.
-    transport.set_watermark_listener(
-        [&nodes, &goodputs, &world](NodeId src, bool above_high) {
-          goodputs[world.shard_of(src)].on_watermark(
-              world.shard_for(src).now(), above_high);
-          nodes[src]->scheduler->set_congested(above_high);
-        });
-    transport.set_purge_listener(
-        [&nodes](NodeId src, NodeId dst, const net::PacketPtr& packet,
-                 bool /*is_payload*/) {
-          nodes[src]->scheduler->on_egress_purge(dst, *packet);
-        });
-  }
-
-  // --- 3. Bootstrap + warm-up ------------------------------------------------
-  if (config.overlay_kind == OverlayKind::cyclon) {
-    Rng boot = root.split(0x626f6f74ULL);
-    for (NodeId id = 0; id < config.num_nodes; ++id) {
-      std::vector<NodeId> contacts;
-      while (contacts.size() < config.overlay.view_size &&
-             contacts.size() + 1 < config.num_nodes) {
-        const NodeId c = static_cast<NodeId>(boot.below(config.num_nodes));
-        if (c != id &&
-            std::find(contacts.begin(), contacts.end(), c) == contacts.end()) {
-          contacts.push_back(c);
-        }
-      }
-      nodes[id]->cyclon->bootstrap(contacts);
-      nodes[id]->cyclon->start();
-    }
-  } else if (config.overlay_kind == OverlayKind::neem) {
-    Rng boot = root.split(0x626f6f74ULL);
-    for (NodeId id = 0; id < config.num_nodes; ++id) {
-      std::vector<NodeId> contacts;
-      while (contacts.size() < 5 && contacts.size() + 1 < config.num_nodes) {
-        const NodeId c = static_cast<NodeId>(boot.below(config.num_nodes));
-        if (c != id &&
-            std::find(contacts.begin(), contacts.end(), c) == contacts.end()) {
-          contacts.push_back(c);
-        }
-      }
-      nodes[id]->neem->bootstrap(contacts);
-      nodes[id]->neem->start();
-    }
-  } else if (config.overlay_kind == OverlayKind::hyparview) {
-    Rng boot = root.split(0x626f6f74ULL);
-    for (NodeId id = 0; id < config.num_nodes; ++id) {
-      nodes[id]->hyparview->start();
-      if (id == 0) continue;
-      const NodeId contact = static_cast<NodeId>(boot.below(id));
-      const SimTime when = 50 * kMillisecond * id;
-      ESM_CHECK(when < config.warmup, "warmup too short for staggered joins");
-      overlay::HyParViewNode* hpv = nodes[id]->hyparview.get();
-      world.shard_for(id).schedule_at(when, [hpv, contact] {
-        hpv->join(contact);
-      });
-    }
-  }
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
-    if (nodes[id]->ping) nodes[id]->ping->start();
-    if (nodes[id]->rank_estimator) nodes[id]->rank_estimator->start();
-  }
-  world.run_until(config.warmup);
-
-  // --- 4. Failure injection ---------------------------------------------------
-  // sharded: kills execute on this thread between run_until() segments,
-  // when no worker is running — the same silence() calls as the legacy
-  // engine, just never concurrent with event execution.
-  std::vector<bool> dead(config.num_nodes, false);
-  const auto num_kill = static_cast<std::uint32_t>(std::lround(
-      config.kill_fraction * static_cast<double>(config.num_nodes)));
-  if (num_kill > 0 && config.kill_mode != KillMode::none) {
-    std::vector<NodeId> victims;
-    if (config.kill_mode == KillMode::random) {
-      std::vector<NodeId> everyone(config.num_nodes);
-      std::iota(everyone.begin(), everyone.end(), 0);
-      Rng killer = root.split(0x6b696c6cULL);
-      victims = killer.sample(everyone, num_kill);
-    } else {  // best_ranked: exactly the biggest contributors (§6.3)
-      victims.assign(closeness_order.begin(),
-                     closeness_order.begin() +
-                         std::min<std::uint32_t>(num_kill, config.num_nodes));
-    }
-    for (const NodeId v : victims) {
-      transport.silence(v);
-      dead[v] = true;
-    }
-  }
-  std::vector<NodeId> live;
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
-    if (!dead[id]) live.push_back(id);
-  }
-  ESM_CHECK(!live.empty(), "all nodes were killed");
-
-  // --- 5. Traffic --------------------------------------------------------------
-  transport.reset_stats();  // sharded: every slot, not just slot 0
-  transport.reset_egress_stats();
-
-  // sharded: with churn and scenarios gated the silenced set is frozen
-  // from here on, so the legacy fire-time sender fall-forward resolves to
-  // the same node at scheduling time — each multicast is scheduled
-  // directly onto its resolved sender's shard.
-  struct ActiveMsg {
-    SimTime at = 0;
-    std::uint32_t seq = 0;
-    MsgId id{};
-  };
-  std::vector<std::deque<ActiveMsg>> active_messages(num_shards);
-  SimTime last_send = config.warmup;
-  auto schedule_multicast = [&](std::uint32_t i, NodeId sender,
-                                std::uint32_t bytes, std::uint32_t audience,
-                                SimTime when) {
-    messages[i].live_at_send = audience;
-    sim::Simulator* const ssim = &world.shard_for(sender);
-    obs::GoodputTracker* const gp = &goodputs[world.shard_of(sender)];
-    std::deque<ActiveMsg>* const active =
-        &active_messages[world.shard_of(sender)];
-    core::GossipNode* const gossip = nodes[sender]->gossip.get();
-    ssim->schedule_at(when, [ssim, gp, active, gossip, bytes, i, audience] {
-      gp->on_offered(ssim->now(), audience);
-      const core::AppMessage msg = gossip->multicast(bytes, i, ssim->now());
-      active->push_back({ssim->now(), i, msg.id});
-    });
-  };
-  if (use_workload) {
-    for (std::uint32_t i = 0; i < num_messages; ++i) {
-      const load::Arrival& arr = plan.arrivals[i];
-      const SimTime when = config.warmup + arr.at;
-      last_send = std::max(last_send, when);
-      NodeId sender = arr.origin;
-      std::uint32_t audience = 0;
-      if (arr.topic != load::kNoTopic) {
-        const std::vector<NodeId>& pool = plan.topic_members[arr.topic];
-        std::size_t idx = arr.origin_index % pool.size();
-        for (std::size_t step = 0;
-             transport.is_silenced(pool[idx]) && step < pool.size();
-             ++step) {
-          idx = (idx + 1) % pool.size();
-        }
-        sender = pool[idx];
-        for (const NodeId m : pool) {
-          if (!transport.is_silenced(m)) ++audience;
-        }
-      } else {
-        for (std::uint32_t step = 0;
-             transport.is_silenced(sender) && step < config.num_nodes;
-             ++step) {
-          sender = (sender + 1) % config.num_nodes;
-        }
-        audience = static_cast<std::uint32_t>(live.size());
-      }
-      if (transport.is_silenced(sender)) continue;  // whole pool down
-      const std::uint32_t bytes =
-          arr.payload_bytes != 0 ? arr.payload_bytes : config.payload_bytes;
-      schedule_multicast(i, sender, bytes, audience, when);
-    }
-  } else {
-    Rng traffic = root.split(0x74726166ULL);
-    SimTime t = config.warmup;
-    if (config.single_sender != kInvalidNode) {
-      ESM_CHECK(config.single_sender < config.num_nodes &&
-                    !dead[config.single_sender],
-                "single sender must be a live node");
-    }
-    for (std::uint32_t i = 0; i < num_messages; ++i) {
-      t += traffic.range(0, 2 * config.mean_interval);
-      last_send = t;
-      // Senders drawn from the live list are never silenced (no churn),
-      // so the legacy fall-forward is the identity here.
-      const NodeId sender = config.single_sender != kInvalidNode
-                                ? config.single_sender
-                                : live[i % live.size()];
-      schedule_multicast(i, sender, config.payload_bytes,
-                         static_cast<std::uint32_t>(live.size()), t);
-    }
-  }
-
-  // Optional garbage collection. sharded: a control-sim event — it runs
-  // on the coordinator with every worker parked at the window barrier, so
-  // sweeping all shards' protocol state from here is race-free. Expired
-  // entries merge in (time, seq) order so the collection sequence is
-  // shard-count invariant.
-  std::uint64_t gc_collected = 0;
-  sim::PeriodicTimer gc_timer(world.control(), [&] {
-    if (config.message_lifetime <= 0) return;
-    std::vector<ActiveMsg> expired;
-    const SimTime gc_now = world.control().now();
-    for (std::deque<ActiveMsg>& shard_active : active_messages) {
-      while (!shard_active.empty() &&
-             shard_active.front().at + config.message_lifetime < gc_now) {
-        expired.push_back(shard_active.front());
-        shard_active.pop_front();
-      }
-    }
-    if (expired.empty()) return;
-    std::sort(expired.begin(), expired.end(),
-              [](const ActiveMsg& a, const ActiveMsg& b) {
-                return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-              });
-    gc_collected += expired.size();
-    std::vector<MsgId> ids;
-    ids.reserve(expired.size());
-    for (const ActiveMsg& m : expired) ids.push_back(m.id);
-    for (const auto& stack : nodes) {
-      stack->gossip->garbage_collect(ids);
-      stack->scheduler->garbage_collect(ids);
-    }
-  });
-  if (config.message_lifetime > 0) {
-    gc_timer.start(config.message_lifetime, config.message_lifetime / 2);
-  }
-
-  // Connection census (§5.4). sharded: control-sim event, same reasoning
-  // as the GC sweep.
-  std::uint64_t peak_simultaneous = 0;
-  sim::PeriodicTimer census_timer(world.control(), [&] {
-    std::uint64_t endpoints = 0;
-    for (const auto& stack : nodes) {
-      if (stack->neem) endpoints += stack->neem->connections().size();
-    }
-    peak_simultaneous = std::max(peak_simultaneous, endpoints / 2);
-  });
-  if (config.overlay_kind == OverlayKind::neem) {
-    census_timer.start(0, 1 * kSecond);
-  }
-
-  world.run_until(last_send + config.drain);
-  gc_timer.stop();
-  census_timer.stop();
-
-  // --- 6. Aggregate --------------------------------------------------------------
-  ExperimentResult result;
-  result.live_nodes = static_cast<std::uint32_t>(live.size());
-  result.events_executed = world.events_executed();
-
-  // sharded: replay the delivery logs in canonical (time, node) order.
-  // Entries sharing a (time, node) pair come from a single shard's log in
-  // its execution order, so a stable sort yields one global order that
-  // does not depend on the shard count; the order-sensitive accumulators
-  // (Samples quantiles, RunningStat) consume it exactly once.
-  std::vector<DeliveryRec> replay;
-  std::size_t total_recs = 0;
-  for (const auto& log : delivery_log) total_recs += log.size();
-  replay.reserve(total_recs);
-  for (const auto& log : delivery_log) {
-    replay.insert(replay.end(), log.begin(), log.end());
-  }
-  std::stable_sort(replay.begin(), replay.end(),
-                   [](const DeliveryRec& a, const DeliveryRec& b) {
-                     return a.at != b.at ? a.at < b.at : a.node < b.node;
-                   });
-  std::uint64_t offtopic_deliveries = 0;
-  for (const DeliveryRec& rec : replay) {
-    if (!rec.on_topic) {
-      ++offtopic_deliveries;
-      continue;
-    }
-    MsgRecord& m = messages.at(rec.seq);
-    ++m.deliveries;
-    if (!rec.origin) {
-      const double ms = to_ms(rec.latency);
-      m.latency_ms.add(ms);
-      all_latency_ms.add(ms);
-    }
-  }
-
-  stats::RunningStat per_msg_latency;
-  stats::RunningStat delivery_fraction;
-  std::uint64_t total_deliveries = 0;
-  std::uint32_t atomic = 0;
-  result.expected_deliveries.reserve(messages.size());
-  for (const MsgRecord& rec : messages) {
-    total_deliveries += rec.deliveries;
-    const std::uint32_t denom =
-        rec.live_at_send > 0 ? rec.live_at_send
-                             : static_cast<std::uint32_t>(live.size());
-    result.expected_deliveries.push_back(denom);
-    delivery_fraction.add(std::min(
-        1.0, static_cast<double>(rec.deliveries) / static_cast<double>(denom)));
-    if (rec.deliveries >= denom) ++atomic;
-    if (rec.latency_ms.count() > 0) per_msg_latency.add(rec.latency_ms.mean());
-  }
-  result.mean_latency_ms = all_latency_ms.mean();
-  result.latency_ci95_ms = per_msg_latency.ci95_half_width();
-  result.p50_latency_ms = all_latency_ms.quantile(0.50);
-  result.p95_latency_ms = all_latency_ms.quantile(0.95);
-  result.mean_delivery_fraction = delivery_fraction.mean();
-  result.delivery_ci95 = delivery_fraction.ci95_half_width();
-  result.atomic_delivery_fraction =
-      static_cast<double>(atomic) / static_cast<double>(num_messages);
-
-  // sharded: run-wide traffic view = sum of the per-shard slots.
-  const net::TrafficStats tstats = transport.merged_stats();
-  result.payload_packets = tstats.total_payload_packets();
-  result.control_packets = tstats.total_packets() - tstats.total_payload_packets();
-  result.total_bytes = tstats.total_bytes();
-  result.packets_lost = transport.packets_lost();
-  result.buffer_drops = transport.buffer_drops();
-
-  // sharded: fold the per-shard goodput trackers into one before
-  // finalizing (summed counters/buckets; watermark clocks joined).
-  for (std::uint32_t s = 1; s < num_shards; ++s) {
-    goodputs.front().merge(goodputs[s]);
-  }
-  const obs::GoodputReport gp = goodputs.front().finalize(world.now());
-  result.offered_msgs = gp.offered_msgs;
-  result.offered_msgs_per_s = gp.offered_msgs_per_s;
-  result.goodput_msgs_per_s = gp.goodput_msgs_per_s;
-  result.redundancy_ratio = gp.redundancy_ratio;
-  result.knee_time_ms = gp.knee_time_ms;
-  result.offtopic_deliveries = offtopic_deliveries;
-  const net::Transport::EgressStats egress_totals = transport.egress_totals();
-  result.egress_serialized_packets = egress_totals.serialized_packets;
-  if (egress_totals.serialized_packets > 0) {
-    result.egress_queue_delay_mean_ms =
-        static_cast<double>(egress_totals.total_sojourn_us) /
-        static_cast<double>(egress_totals.serialized_packets) / 1000.0;
-  }
-  result.egress_queue_delay_max_ms =
-      static_cast<double>(egress_totals.max_sojourn_us) / 1000.0;
-  result.egress_peak_depth = egress_totals.peak_depth;
-  result.egress_peak_queued_bytes = egress_totals.peak_queued_bytes;
-  for (const auto& stack : nodes) {
-    const core::SchedulerStats& ss = stack->scheduler->stats();
-    result.eager_deferred += ss.eager_deferred;
-    result.replies_deferred += ss.replies_deferred;
-    result.drops_readvertised += ss.drops_readvertised;
-    result.iwants_purged += ss.iwants_purged;
-  }
-  result.watermark_episodes = gp.watermark_episodes;
-  result.watermark_residency_ms = gp.watermark_residency_ms;
-
-  result.payload_per_delivery =
-      total_deliveries == 0
-          ? 0.0
-          : static_cast<double>(result.payload_packets) /
-                static_cast<double>(total_deliveries);
-
-  // sharded: same reporting split as legacy; see the comment there.
-  const double report_fraction = config.report_best_fraction > 0.0
-                                     ? config.report_best_fraction
-                                     : config.strategy.best_fraction;
-  const auto report_best = static_cast<std::uint32_t>(std::lround(
-      report_fraction * static_cast<double>(config.num_nodes)));
-  std::vector<bool> is_best(config.num_nodes, false);
-  for (std::uint32_t i = 0;
-       i < report_best && i < closeness_order.size(); ++i) {
-    is_best[closeness_order[i]] = true;
-  }
-  stats::RunningStat all_load, low_load, best_load;
-  for (const NodeId id : live) {
-    const double per_msg =
-        static_cast<double>(tstats.node_sent_payload(id)) /
-        static_cast<double>(num_messages);
-    all_load.add(per_msg);
-    if (needs_best && is_best[id]) {
-      best_load.add(per_msg);
-    } else {
-      low_load.add(per_msg);
-    }
-  }
-  result.load_all = {all_load.mean(),
-                     static_cast<std::uint32_t>(all_load.count())};
-  result.load_low = {low_load.mean(),
-                     static_cast<std::uint32_t>(low_load.count())};
-  result.load_best = {best_load.mean(),
-                      static_cast<std::uint32_t>(best_load.count())};
-
-  result.top5_connection_share = tstats.top_connection_payload_share(0.05);
-  result.connection_payloads = tstats.undirected_payload_counts();
-  // sharded: the legacy sort keeps equal-count ties in hash-map iteration
-  // order, which here depends on the shard partition (merged_stats()
-  // rebuilds the link map shard by shard) — break ties by endpoint so the
-  // vector is identical at every shard count.
-  std::sort(result.connection_payloads.begin(),
-            result.connection_payloads.end(), [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  result.node_payloads.resize(config.num_nodes);
-  for (NodeId id = 0; id < config.num_nodes; ++id) {
-    result.node_payloads[id] = tstats.node_sent_payload(id);
-  }
-  result.client_coords = topo.client_coords;
-  if (needs_best) result.best_nodes = oracle_best;
-
-  for (const MsgRecord& rec : messages) {
-    ESM_CHECK(rec.deliveries <= config.num_nodes,
-              "a node delivered the same message twice");
-  }
-
-  std::uint64_t dups = 0, reqs = 0, prunes = 0;
-  std::uint64_t retries = 0, gave_up = 0, still_pending = 0;
-  for (const auto& stack : nodes) {
-    dups += stack->scheduler->stats().duplicate_payloads;
-    reqs += stack->scheduler->stats().requests_sent;
-    prunes += stack->scheduler->stats().prunes_sent;
-    retries += stack->scheduler->stats().iwant_retries;
-    gave_up += stack->scheduler->stats().recovery_gave_up;
-    still_pending += stack->scheduler->pending_requests();
-  }
-  result.duplicate_payloads = dups;
-  result.requests_sent = reqs;
-  result.prunes_sent = prunes;
-  result.iwant_retries = retries;
-  result.recovery_gave_up = gave_up;
-  result.recovery_stalled = gave_up + still_pending;
-  // sharded: per-shard send counters sum into the run-wide vector.
-  std::vector<std::uint32_t> payload_tx_per_message(num_messages, 0);
-  for (const std::vector<std::uint32_t>& shard_tx : payload_tx) {
-    for (std::uint32_t i = 0; i < num_messages; ++i) {
-      payload_tx_per_message[i] += shard_tx[i];
-    }
-  }
-  result.payload_tx_per_message = std::move(payload_tx_per_message);
-  result.peak_simultaneous_connections = peak_simultaneous;
-  for (const auto& stack : nodes) {
-    if (stack->neem) {
-      result.connections_opened += stack->neem->connections_opened();
-    }
-  }
-  result.connections_opened /= 2;
-  result.messages_garbage_collected = gc_collected;
-  for (const auto& stack : nodes) {
-    result.max_known_messages =
-        std::max(result.max_known_messages, stack->gossip->known_count());
-  }
-  result.mean_eager_rate_estimate = std::numeric_limits<double>::quiet_NaN();
-
-  // sharded: the replicas hold most of the resident rows; report the
-  // whole run's footprint and work.
-  result.path_model_bytes = metrics.memory_bytes();
-  result.path_rows_computed = metrics.rows_computed();
-  result.path_row_evictions = metrics.row_evictions();
-  for (const auto& replica : shard_paths) {
-    result.path_model_bytes += replica->memory_bytes();
-    result.path_rows_computed += replica->rows_computed();
-    result.path_row_evictions += replica->row_evictions();
-  }
-
-  // sharded: conservative-window execution accounting. Windows/mailbox
+  // Sharded: conservative-window execution accounting. Windows/mailbox
   // counters and the lookahead are deterministic; the busy/wait wall-clock
   // split is a diagnostic that varies run to run.
-  const sim::ShardedSimulator::Stats shard_stats = world.stats();
-  result.shards_used = num_shards;
-  result.shard_windows = shard_stats.windows;
-  result.shard_mailbox_packets = shard_stats.mailbox_packets;
-  result.shard_mailbox_bytes = shard_stats.mailbox_bytes;
-  result.shard_lookahead_ms = to_ms(lookahead);
-  for (std::uint64_t ns : shard_stats.busy_ns) {
-    result.shard_busy_ms += static_cast<double>(ns) / 1e6;
+  if (sim::ShardedSimulator* world = engine.sharded()) {
+    const sim::ShardedSimulator::Stats shard_stats = world->stats();
+    result.shards_used = num_shards;
+    result.shard_windows = shard_stats.windows;
+    result.shard_mailbox_packets = shard_stats.mailbox_packets;
+    result.shard_mailbox_bytes = shard_stats.mailbox_bytes;
+    result.shard_lookahead_ms = to_ms(lookahead);
+    for (std::uint64_t ns : shard_stats.busy_ns) {
+      result.shard_busy_ms += static_cast<double>(ns) / 1e6;
+    }
+    for (std::uint64_t ns : shard_stats.wait_ns) {
+      result.shard_barrier_wait_ms += static_cast<double>(ns) / 1e6;
+    }
+    if (run_metrics) {
+      obs::MetricsRegistry& agg = run_metrics->aggregate;
+      agg.add_counter("sim.shard.windows", shard_stats.windows);
+      agg.add_counter("sim.shard.mailbox_packets",
+                      shard_stats.mailbox_packets);
+      agg.add_counter("sim.shard.mailbox_bytes", shard_stats.mailbox_bytes);
+      agg.gauge_max("sim.shard.count", static_cast<double>(num_shards));
+      agg.gauge_max("sim.shard.lookahead_us", static_cast<double>(lookahead));
+      agg.gauge_max("sim.shard.busy_ms", result.shard_busy_ms);
+      agg.gauge_max("sim.shard.barrier_wait_ms",
+                    result.shard_barrier_wait_ms);
+    }
   }
-  for (std::uint64_t ns : shard_stats.wait_ns) {
-    result.shard_barrier_wait_ms += static_cast<double>(ns) / 1e6;
-  }
-  if (config.collect_metrics) {
-    // The sharded metrics JSON carries only the execution block; per-node
-    // lifecycle instrumentation stays a single-threaded feature.
-    auto run_metrics = std::make_shared<obs::RunMetrics>();
-    obs::MetricsRegistry& agg = run_metrics->aggregate;
-    agg.add_counter("sim.shard.windows", shard_stats.windows);
-    agg.add_counter("sim.shard.mailbox_packets", shard_stats.mailbox_packets);
-    agg.add_counter("sim.shard.mailbox_bytes", shard_stats.mailbox_bytes);
-    agg.gauge_max("sim.shard.count", static_cast<double>(num_shards));
-    agg.gauge_max("sim.shard.lookahead_us", static_cast<double>(lookahead));
-    agg.gauge_max("sim.shard.busy_ms", result.shard_busy_ms);
-    agg.gauge_max("sim.shard.barrier_wait_ms", result.shard_barrier_wait_ms);
-    result.metrics = std::move(run_metrics);
-  }
+  result.metrics = run_metrics;
   return result;
 }
-
-}  // namespace
 
 }  // namespace esm::harness

@@ -2,18 +2,26 @@
 // stacks for every node, runs the paper's traffic pattern, and extracts the
 // metrics reported in §6.
 //
-// Phases:
-//   1. build topology, route client latency matrix, rank nodes;
-//   2. bootstrap the overlay; start shuffling / monitors / rank gossip;
-//   3. warm up (paper: nodes "join the overlay and warm up");
-//   4. optionally silence a fraction of nodes (§6.3);
-//   5. reset traffic counters, multicast num_messages from live senders in
-//      round-robin with uniform random spacing (§5.3), then drain;
-//   6. aggregate deliveries, latency, payload counts, structure measures.
+// One assembly serves both execution engines (config.shards == 1: one
+// Simulator; >= 2: sim::ShardedSimulator), in five stages:
+//   build_world  workload plan, topology, path model, closeness ranking,
+//                the engine and the transport;
+//   wire_nodes   per-node protocol stacks and their observation hooks;
+//                bootstrap the overlay, then warm up (paper: nodes "join
+//                the overlay and warm up");
+//   schedule     silence a fraction of nodes (§6.3), reset traffic
+//                counters, arm churn / fault scenario, multicast
+//                num_messages from live senders in round-robin with
+//                uniform random spacing (§5.3) or the workload plan, GC
+//                and census timers;
+//   run          advance the engine to the last send plus the drain;
+//   finalize     aggregate deliveries, latency, payload counts, structure
+//                measures.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "harness/config.hpp"
@@ -193,7 +201,14 @@ struct ExperimentResult {
 };
 
 /// Runs one experiment. Deterministic given the config (including seed).
+/// Throws CheckFailure with shard_gate_error()'s message when the config
+/// asks the sharded engine for a single-threaded-only feature.
 ExperimentResult run_experiment(const ExperimentConfig& config);
+
+/// The first --shards >= 2 gate `config` violates (scenario scripts,
+/// churn, trace or tree-stats collection, strategy noise), as the message
+/// the CLI and run_experiment report; empty when the config may run.
+std::string shard_gate_error(const ExperimentConfig& config);
 
 /// Ranks nodes by closeness centrality over the path model (lower mean
 /// latency to all others = better), best first. This is the oracle node

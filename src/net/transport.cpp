@@ -84,8 +84,8 @@ const LinkCounters& TrafficStats::link(NodeId src, NodeId dst) const {
   return it == links_.end() ? kEmpty : it->second;
 }
 
-std::vector<std::pair<std::pair<NodeId, NodeId>, std::uint64_t>>
-TrafficStats::undirected_payload_counts() const {
+std::vector<ConnectionPayload> TrafficStats::undirected_payload_counts()
+    const {
   std::unordered_map<std::uint64_t, std::uint64_t> undirected;
   for (const auto& [k, counters] : links_) {
     const NodeId src = static_cast<NodeId>(k >> 32);
@@ -94,7 +94,7 @@ TrafficStats::undirected_payload_counts() const {
     const NodeId hi = std::max(src, dst);
     undirected[key(lo, hi)] += counters.payload_packets;
   }
-  std::vector<std::pair<std::pair<NodeId, NodeId>, std::uint64_t>> out;
+  std::vector<ConnectionPayload> out;
   out.reserve(undirected.size());
   for (const auto& [k, payload] : undirected) {
     out.push_back({{static_cast<NodeId>(k >> 32),
@@ -104,19 +104,23 @@ TrafficStats::undirected_payload_counts() const {
   return out;
 }
 
+double top_payload_share(const std::vector<ConnectionPayload>& busiest_first,
+                         std::uint64_t total_payload, double fraction) {
+  if (busiest_first.empty() || total_payload == 0) return 0.0;
+  const auto take = static_cast<std::size_t>(std::ceil(
+      fraction * static_cast<double>(busiest_first.size())));
+  std::uint64_t top_payload = 0;
+  for (std::size_t i = 0; i < take && i < busiest_first.size(); ++i) {
+    top_payload += busiest_first[i].second;
+  }
+  return static_cast<double>(top_payload) / static_cast<double>(total_payload);
+}
+
 double TrafficStats::top_connection_payload_share(double fraction) const {
   auto connections = undirected_payload_counts();
-  if (connections.empty() || total_payload_packets_ == 0) return 0.0;
   std::sort(connections.begin(), connections.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
-  const auto take = static_cast<std::size_t>(std::ceil(
-      fraction * static_cast<double>(connections.size())));
-  std::uint64_t top_payload = 0;
-  for (std::size_t i = 0; i < take && i < connections.size(); ++i) {
-    top_payload += connections[i].second;
-  }
-  return static_cast<double>(top_payload) /
-         static_cast<double>(total_payload_packets_);
+  return top_payload_share(connections, total_payload_packets_, fraction);
 }
 
 Transport::Transport(sim::Simulator& sim, const LatencyModel& latency,

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -63,6 +64,17 @@ struct LinkCounters {
   std::uint64_t payload_bytes = 0;
 };
 
+/// One undirected connection (lower endpoint first) and the payload
+/// packets it carried.
+using ConnectionPayload = std::pair<std::pair<NodeId, NodeId>, std::uint64_t>;
+
+/// Share of `total_payload` carried by the first ceil(fraction · size)
+/// entries of `busiest_first` (connections sorted by descending payload
+/// count; the result does not depend on how ties are ordered). 0 when
+/// there are no connections or no payload.
+double top_payload_share(const std::vector<ConnectionPayload>& busiest_first,
+                         std::uint64_t total_payload, double fraction);
+
 /// Traffic accounting across all links and nodes.
 class TrafficStats {
  public:
@@ -99,8 +111,7 @@ class TrafficStats {
   double top_connection_payload_share(double fraction) const;
 
   /// (undirected link, payload packets) pairs, for structure plots.
-  std::vector<std::pair<std::pair<NodeId, NodeId>, std::uint64_t>>
-  undirected_payload_counts() const;
+  std::vector<ConnectionPayload> undirected_payload_counts() const;
 
  private:
   static std::uint64_t key(NodeId src, NodeId dst) {

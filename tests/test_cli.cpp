@@ -197,6 +197,26 @@ TEST(Cli, ShardsFlagParsesAndGates) {
   EXPECT_FALSE(parse_cli({"--noise", "0.5", "--shards", "2"}, error));
 }
 
+TEST(Cli, RunExperimentEnforcesTheCliShardGate) {
+  // Tools set some fields after parsing (esm_run applies --trace itself),
+  // so run_experiment re-checks the same predicate and fails with the
+  // message the CLI prints.
+  std::string cli_error;
+  EXPECT_FALSE(parse_cli({"--shards", "2", "--tree-stats"}, cli_error));
+  const auto options = parse({"--shards", "2", "--nodes", "10"});
+  ASSERT_TRUE(options);
+  ExperimentConfig c = options->config;
+  EXPECT_EQ(shard_gate_error(c), "");
+  c.collect_trace = true;
+  EXPECT_EQ(shard_gate_error(c), cli_error);
+  try {
+    run_experiment(c);
+    ADD_FAILURE() << "run_experiment accepted a gated config";
+  } catch (const CheckFailure& e) {
+    EXPECT_EQ(std::string(e.what()), cli_error);
+  }
+}
+
 TEST(Cli, ShardsSweepParam) {
   ExperimentConfig config;
   std::string error;

@@ -421,20 +421,38 @@ TEST(Equivalence, JobsInvarianceBackpressureModes) {
 
 // --- sharded engine: shard-count × jobs invariance matrix -----------------
 
+/// The control-sim block the newer shard-matrix scenarios append: GC
+/// sweeps and the NeEM connection census run as run-global actors, which
+/// the sharded engine moves onto its control simulator. Kept out of
+/// render() so the older matrix fingerprints stay byte-identical.
+std::string render_control(const ExperimentResult& r) {
+  std::string out;
+  add(out, "messages_garbage_collected", r.messages_garbage_collected);
+  add(out, "peak_simultaneous_connections", r.peak_simultaneous_connections);
+  add(out, "connections_opened", r.connections_opened);
+  return out;
+}
+
 TEST(Equivalence, ShardCountInvarianceMatrix) {
-  // Three canned scenarios (the batching golden plus both heavy-workload
-  // goldens) × --shards {1, 2, 4, 8} × --jobs {1, 4}. The pinned
-  // contract:
+  // Six canned scenarios × --shards {1, 2, 4, 8} × --jobs {1, 4}. The
+  // pinned contract:
   //   * the sharded engine (shards >= 2) is bit-identical at EVERY shard
   //     count and EVERY jobs count — one absolute fingerprint per
   //     scenario pins its canonical event order;
-  //   * shards == 1 is the legacy engine byte-for-byte (the goldens above
-  //     pin it); it may differ from the sharded engine only in
-  //     same-microsecond arrival tie ordering, so no cross-engine
-  //     equality is asserted here.
+  //   * shards == 1 is the single-threaded engine byte-for-byte; it may
+  //     differ from the sharded engine only in same-microsecond arrival
+  //     tie ordering, so no cross-engine equality is asserted. The first
+  //     three scenarios' shards == 1 output is pinned by the goldens
+  //     above; the last three pin it here (single_fp).
+  // The last three reach engine branches no golden covers: per-shard
+  // on-demand path replicas and oracle monitors with HyParView joins on
+  // shard sims; closeness ranking, best-ranked kills and GC sweeps on the
+  // control sim; the NeEM connection census.
   struct Scenario {
     const char* label;
     std::uint64_t sharded_fp;
+    std::uint64_t single_fp;  // 0 = pinned by a golden above
+    bool control_block;       // fingerprint includes render_control()
     ExperimentConfig config;
   };
   std::vector<Scenario> scenarios;
@@ -442,21 +460,55 @@ TEST(Equivalence, ShardCountInvarianceMatrix) {
     ExperimentConfig c = base100();
     c.strategy = StrategySpec::make_flat(0.2);
     c.ihave_batch_window = 20 * kMillisecond;
-    scenarios.push_back({"flat batched", 9375248610818417151ULL, c});
+    scenarios.push_back({"flat batched", 9375248610818417151ULL, 0, false, c});
   }
   scenarios.push_back(
-      {"heavy saturated", 7599652059359661393ULL, heavy_config()});
+      {"heavy saturated", 7599652059359661393ULL, 0, false, heavy_config()});
   {
     ExperimentConfig c = saturated_heavy_config();
     c.backpressure = true;
-    scenarios.push_back(
-        {"heavy saturated backpressure", 571881640632054520ULL, c});
+    scenarios.push_back({"heavy saturated backpressure",
+                         571881640632054520ULL, 0, false, c});
   }
-  const auto full_print = [](const ExperimentResult& r) {
-    return fnv1a(render(r) + render_goodput(r) + render_backpressure(r));
-  };
+  {
+    ExperimentConfig c = base100();
+    c.num_messages = 40;
+    c.strategy = StrategySpec::make_radius(60.0);
+    c.overlay_kind = OverlayKind::hyparview;
+    c.path_model = net::PathModelKind::ondemand;
+    scenarios.push_back({"radius oracle on-demand hyparview",
+                         12253004247891434459ULL, 3909117172495218310ULL,
+                         true, c});
+  }
+  {
+    ExperimentConfig c = base100();
+    c.num_messages = 80;
+    c.strategy = StrategySpec::make_ranked(0.2);
+    c.overlay_kind = OverlayKind::static_random;
+    c.kill_fraction = 0.1;
+    c.kill_mode = KillMode::best_ranked;
+    c.message_lifetime = 10 * kSecond;
+    scenarios.push_back({"ranked static best-kill gc",
+                         17057250226430260897ULL, 15749396141388371302ULL,
+                         true, c});
+  }
+  {
+    ExperimentConfig c = base100();
+    c.num_messages = 40;
+    c.strategy = StrategySpec::make_flat(0.3);
+    c.overlay_kind = OverlayKind::neem;
+    scenarios.push_back({"flat neem census", 3739953557886530746ULL,
+                         2210224479579050069ULL, true, c});
+  }
   const std::uint32_t shard_counts[] = {1, 2, 4, 8};
   for (const Scenario& sc : scenarios) {
+    const auto rendering = [&sc](const ExperimentResult& r) {
+      return render(r) + render_goodput(r) + render_backpressure(r) +
+             (sc.control_block ? render_control(r) : std::string());
+    };
+    const auto full_print = [&rendering](const ExperimentResult& r) {
+      return fnv1a(rendering(r));
+    };
     std::vector<ExperimentConfig> configs;
     for (const std::uint32_t shards : shard_counts) {
       ExperimentConfig c = sc.config;
@@ -480,8 +532,12 @@ TEST(Equivalence, ShardCountInvarianceMatrix) {
     }
     EXPECT_EQ(full_print(serial[1]), sc.sharded_fp)
         << sc.label << " (sharded engine) drifted; new rendering:\n"
-        << render(serial[1]) + render_goodput(serial[1]) +
-               render_backpressure(serial[1]);
+        << rendering(serial[1]);
+    if (sc.single_fp != 0) {
+      EXPECT_EQ(full_print(serial[0]), sc.single_fp)
+          << sc.label << " (single-threaded engine) drifted; new rendering:\n"
+          << rendering(serial[0]);
+    }
   }
 }
 
