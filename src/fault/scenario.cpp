@@ -1,6 +1,7 @@
 #include "fault/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.hpp"
 
@@ -99,7 +100,8 @@ void ScenarioScript::validate(std::uint32_t num_nodes) const {
         ESM_CHECK(e.duration >= 0, "burst duration must be >= 0");
         break;
       case FaultKind::latency_spike:
-        ESM_CHECK(e.value > 0.0, "latency_spike factor must be > 0");
+        ESM_CHECK(e.value > 0.0 && std::isfinite(e.value),
+                  "latency_spike factor must be > 0 and finite");
         ESM_CHECK((e.link_a == kInvalidNode) == (e.link_b == kInvalidNode),
                   "link scope needs both endpoints");
         if (e.link_a != kInvalidNode) {

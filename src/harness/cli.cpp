@@ -7,6 +7,10 @@
 #include <exception>
 #include <sstream>
 
+#include "common/line_grammar.hpp"
+#include "harness/scenario_text.hpp"
+#include "load/workload_text.hpp"
+
 namespace esm::harness {
 
 std::string cli_help_text() {
@@ -162,6 +166,19 @@ bool parse_u64(const std::string& s, std::uint64_t& out) {
   return ec == std::errc() && ptr == end;
 }
 
+/// Milliseconds -> SimTime; a negative, non-finite or out-of-range value
+/// sets `error` ("<name>: ...") instead.
+bool ms_to_time(const std::string& name, double ms, SimTime& out,
+                std::string& error) {
+  const std::optional<SimTime> t = text::to_sim_time(ms, kMillisecond);
+  if (!t) {
+    error = name + ": must be a non-negative time in range (ms)";
+    return false;
+  }
+  out = *t;
+  return true;
+}
+
 }  // namespace
 
 std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
@@ -208,6 +225,10 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
       return false;
     }
     return true;
+  };
+
+  auto ms_time = [&](const std::string& flag, double ms, SimTime& out) {
+    return ms_to_time(flag, ms, out, error);
   };
 
   for (; i < args.size(); ++i) {
@@ -274,8 +295,9 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
     } else if (flag == "--noise") {
       if (!next_double(flag, s.noise)) return std::nullopt;
     } else if (flag == "--t0") {
-      if (!next_double(flag, d)) return std::nullopt;
-      s.t0 = static_cast<SimTime>(d * kMillisecond);
+      if (!next_double(flag, d) || !ms_time(flag, d, s.t0)) {
+        return std::nullopt;
+      }
     } else if (flag == "--gossip-rank") {
       s.use_gossip_rank = true;
     } else if (flag == "--nodes") {
@@ -288,8 +310,9 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
       if (!next_u64(flag, u64)) return std::nullopt;
       c.payload_bytes = static_cast<std::uint32_t>(u64);
     } else if (flag == "--interval-ms") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.mean_interval = static_cast<SimTime>(u64) * kMillisecond;
+      if (!next_u64(flag, u64) || !ms_time(flag, u64, c.mean_interval)) {
+        return std::nullopt;
+      }
     } else if (flag == "--seed") {
       if (!next_u64(flag, c.seed)) return std::nullopt;
     } else if (flag == "--shards") {
@@ -376,14 +399,18 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
       if (!next_u64(flag, u64)) return std::nullopt;
       c.overlay.view_size = static_cast<std::uint32_t>(u64);
     } else if (flag == "--period-ms") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.retransmission_period = static_cast<SimTime>(u64) * kMillisecond;
+      if (!next_u64(flag, u64) ||
+          !ms_time(flag, u64, c.retransmission_period)) {
+        return std::nullopt;
+      }
     } else if (flag == "--retry-rounds") {
       if (!next_u64(flag, u64)) return std::nullopt;
       c.max_request_rounds = static_cast<std::uint32_t>(u64);
     } else if (flag == "--batch-ms") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.ihave_batch_window = static_cast<SimTime>(u64) * kMillisecond;
+      if (!next_u64(flag, u64) ||
+          !ms_time(flag, u64, c.ihave_batch_window)) {
+        return std::nullopt;
+      }
     } else if (flag == "--overlay") {
       if (!next_value(flag, v)) return std::nullopt;
       if (v == "cyclon") {
@@ -453,7 +480,7 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
         error = "--duration-ms: must be > 0";
         return std::nullopt;
       }
-      wl_duration = static_cast<SimTime>(u64) * kMillisecond;
+      if (!ms_time(flag, u64, wl_duration)) return std::nullopt;
       wl_aux_seen = true;
     } else if (flag == "--burst-on-ms") {
       if (!next_u64(flag, u64)) return std::nullopt;
@@ -461,11 +488,12 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
         error = "--burst-on-ms: must be > 0";
         return std::nullopt;
       }
-      wl_burst_on = static_cast<SimTime>(u64) * kMillisecond;
+      if (!ms_time(flag, u64, wl_burst_on)) return std::nullopt;
       wl_aux_seen = true;
     } else if (flag == "--burst-off-ms") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      wl_burst_off = static_cast<SimTime>(u64) * kMillisecond;
+      if (!next_u64(flag, u64) || !ms_time(flag, u64, wl_burst_off)) {
+        return std::nullopt;
+      }
       wl_aux_seen = true;
     } else if (flag == "--topics") {
       if (!next_u64(flag, u64)) return std::nullopt;
@@ -540,6 +568,22 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
   return options;
 }
 
+bool load_input_files(CliOptions& options, std::string& error) {
+  try {
+    if (!options.scenario_path.empty()) {
+      options.config.scenario = load_scenario_file(options.scenario_path);
+    }
+    if (!options.workload_path.empty()) {
+      options.config.workload = load::load_workload_file(options.workload_path);
+      options.config.workload.validate(options.config.num_nodes);
+    }
+  } catch (const std::exception& e) {
+    error = e.what();
+    return false;
+  }
+  return true;
+}
+
 bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
                        double value, std::string& error) {
   if (name == "pi") {
@@ -553,7 +597,7 @@ bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
   } else if (name == "noise") {
     config.strategy.noise = value;
   } else if (name == "t0-ms") {
-    config.strategy.t0 = static_cast<SimTime>(value * kMillisecond);
+    if (!ms_to_time(name, value, config.strategy.t0, error)) return false;
   } else if (name == "loss") {
     config.loss_rate = value;
   } else if (name == "kill") {
@@ -564,11 +608,15 @@ bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
   } else if (name == "churn") {
     config.churn_rate = value;
   } else if (name == "batch-ms") {
-    config.ihave_batch_window = static_cast<SimTime>(value * kMillisecond);
+    if (!ms_to_time(name, value, config.ihave_batch_window, error)) {
+      return false;
+    }
   } else if (name == "interval-ms") {
-    config.mean_interval = static_cast<SimTime>(value * kMillisecond);
+    if (!ms_to_time(name, value, config.mean_interval, error)) return false;
   } else if (name == "period-ms") {
-    config.retransmission_period = static_cast<SimTime>(value * kMillisecond);
+    if (!ms_to_time(name, value, config.retransmission_period, error)) {
+      return false;
+    }
   } else if (name == "retry-rounds") {
     config.max_request_rounds = static_cast<std::uint32_t>(value);
   } else if (name == "fanout") {
@@ -624,7 +672,9 @@ bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
       error = "duration-ms: must be > 0";
       return false;
     }
-    config.workload.duration = static_cast<SimTime>(value * kMillisecond);
+    if (!ms_to_time(name, value, config.workload.duration, error)) {
+      return false;
+    }
   } else if (name == "burst-on-ms") {
     if (!(value > 0.0)) {
       error = "burst-on-ms: must be > 0";
@@ -634,9 +684,9 @@ bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
       error = "burst-on-ms: requires a workload (--senders or --workload)";
       return false;
     }
-    for (auto& pub : config.workload.publishers) {
-      pub.burst_on = static_cast<SimTime>(value * kMillisecond);
-    }
+    SimTime on = 0;
+    if (!ms_to_time(name, value, on, error)) return false;
+    for (auto& pub : config.workload.publishers) pub.burst_on = on;
   } else if (name == "burst-off-ms") {
     if (value < 0.0) {
       error = "burst-off-ms: must be >= 0";
@@ -646,9 +696,9 @@ bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
       error = "burst-off-ms: requires a workload (--senders or --workload)";
       return false;
     }
-    for (auto& pub : config.workload.publishers) {
-      pub.burst_off = static_cast<SimTime>(value * kMillisecond);
-    }
+    SimTime off = 0;
+    if (!ms_to_time(name, value, off, error)) return false;
+    for (auto& pub : config.workload.publishers) pub.burst_off = off;
   } else {
     error = "unknown sweep parameter: " + name;
     return false;

@@ -22,10 +22,10 @@ struct CliOptions {
   bool help = false;
   /// --scenario FILE: fault-scenario script to load into config.scenario.
   /// The parser stays pure (no file IO); tools load the file themselves
-  /// via load_scenario_file().
+  /// via load_input_files().
   std::string scenario_path;
   /// --workload FILE: heavy-traffic workload spec (src/load) to load into
-  /// config.workload via load_workload_file(). Mutually exclusive with the
+  /// config.workload via load_input_files(). Mutually exclusive with the
   /// inline --senders/--rate/... flags, which build config.workload
   /// directly in the parser.
   std::string workload_path;
@@ -38,6 +38,11 @@ std::string cli_help_text();
 /// sets `error` to a one-line diagnostic naming the offending flag.
 std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
                                     std::string& error);
+
+/// Loads the --scenario and --workload files named in `options` into its
+/// config and validates the workload against the node count. On failure
+/// returns false and sets `error` to the file's diagnostic.
+bool load_input_files(CliOptions& options, std::string& error);
 
 /// Renders an ExperimentResult as `key=value` lines (stable interface for
 /// scripts; one metric per line).

@@ -18,7 +18,8 @@
 //   <t> noise to=O [over=DUR]            ramp monitor noise to O
 //
 // Node lists accept ranges: `nodes 0..4,9` = {0,1,2,3,4,9}. `for=0s` (or
-// omitting `for=`) makes a burst permanent. Example:
+// omitting `for=`) makes a burst permanent; a key a command does not take
+// is an error. Lexical rules: docs/PROTOCOL.md §7d. Example:
 //
 //   # §6.3: kill the five best nodes mid-run
 //   0s    phase baseline

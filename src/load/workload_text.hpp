@@ -10,7 +10,8 @@
 //   publisher burst rate=200 on=250ms off=750ms start=2s stop=12s
 //
 // Topics are referenced by name and must be declared before use. Times
-// require a unit (us/ms/s), matching scenario scripts.
+// require a unit (us/ms/s) and unknown keys are errors, as in scenario
+// scripts (docs/PROTOCOL.md §7d).
 #pragma once
 
 #include <iosfwd>

@@ -397,7 +397,13 @@ void Transport::transmit(NodeId src, Queued item) {
 
   SimTime delay = latency_for(src).one_way(src, item.dst);
   if (delay_factor != 1.0) {
-    delay = static_cast<SimTime>(static_cast<double>(delay) * delay_factor);
+    // Saturate rather than overflow: a huge factor must push the arrival
+    // past any run's end, never wrap it to an early one. Half the clock's
+    // headroom leaves room for jitter (< 2x) and the `now +` below.
+    const SimTime cap = (kTimeInfinity - sim_for(src).now()) / 2;
+    const double scaled = static_cast<double>(delay) * delay_factor;
+    delay = scaled < static_cast<double>(cap) ? static_cast<SimTime>(scaled)
+                                              : cap;
   }
   if (options_.jitter > 0.0) {
     delay = static_cast<SimTime>(static_cast<double>(delay) *
@@ -584,7 +590,8 @@ void Transport::set_link_extra_loss(NodeId a, NodeId b, double extra) {
 }
 
 void Transport::set_delay_factor(double factor) {
-  ESM_CHECK(factor > 0.0, "delay factor must be positive");
+  ESM_CHECK(factor > 0.0 && std::isfinite(factor),
+            "delay factor must be positive and finite");
   global_delay_factor_ = factor;
 }
 
@@ -592,7 +599,8 @@ void Transport::set_link_delay_factor(NodeId a, NodeId b, double factor) {
   ESM_CHECK(a < silenced_.size() && b < silenced_.size(),
             "node id out of range");
   ESM_CHECK(a != b, "link endpoints must differ");
-  ESM_CHECK(factor > 0.0, "delay factor must be positive");
+  ESM_CHECK(factor > 0.0 && std::isfinite(factor),
+            "delay factor must be positive and finite");
   link_fault(a, b).delay_factor = factor;
   link_fault(b, a).delay_factor = factor;
   prune_link_fault(a, b);

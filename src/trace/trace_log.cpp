@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/check.hpp"
+#include "common/line_grammar.hpp"
 
 namespace esm::trace {
 
@@ -113,64 +114,53 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return fields;
 }
 
-std::int64_t to_i64(const std::string& s) {
-  try {
-    std::size_t pos = 0;
-    const long long v = std::stoll(s, &pos);
-    if (pos != s.size()) throw std::runtime_error("bad integer field: " + s);
-    return v;
-  } catch (const std::logic_error&) {  // stoll's invalid_argument/out_of_range
-    throw std::runtime_error("bad integer field: " + s);
-  }
-}
-
 }  // namespace
 
 TraceLog TraceLog::read_csv(std::istream& is) {
   TraceLog log;
+  text::Lexer lex("trace");
   std::string line;
-  if (!std::getline(is, line)) throw std::runtime_error("empty trace");
-  if (line.rfind("kind,", 0) != 0) {
-    throw std::runtime_error("missing trace header");
-  }
-  while (std::getline(is, line)) {
+  if (!lex.next_raw_line(is, line)) throw std::runtime_error("empty trace");
+  if (line.rfind("kind,", 0) != 0) lex.fail("missing trace header");
+  const auto time = [&lex](const std::string& field) {
+    return static_cast<SimTime>(lex.integer(field, kTimeInfinity));
+  };
+  while (lex.next_raw_line(is, line)) {
     if (line.empty()) continue;
     const auto f = split_csv_line(line);
     // 7 fields = schema v1 (no from/recv_time_us columns), 9 = v2.
     if (f.size() != 7 && f.size() != 9) {
-      throw std::runtime_error("bad field count: " + line);
+      lex.fail("bad field count: " + line);
     }
     const bool v2 = f.size() == 9;
     if (f[0] == "delivery") {
       DeliveryEvent e;
-      e.time = to_i64(f[1]);
-      e.node = static_cast<NodeId>(to_i64(f[2]));
-      e.origin = static_cast<NodeId>(to_i64(f[3]));
-      e.seq = static_cast<std::uint32_t>(to_i64(f[4]));
-      e.latency = to_i64(f[5]);
+      e.time = time(f[1]);
+      e.node = lex.u32(f[2]);
+      e.origin = lex.u32(f[3]);
+      e.seq = lex.u32(f[4]);
+      e.latency = time(f[5]);
       // v1 wrote an empty eager column for deliveries; keep the default.
-      if (!f[6].empty()) e.eager = to_i64(f[6]) != 0;
-      if (v2 && !f[7].empty()) e.from = static_cast<NodeId>(to_i64(f[7]));
+      if (!f[6].empty()) e.eager = lex.integer(f[6], 1) != 0;
+      if (v2 && !f[7].empty()) e.from = lex.u32(f[7]);
       log.record_delivery(e);
     } else if (f[0] == "payload") {
       PayloadEvent e;
-      e.time = to_i64(f[1]);
-      e.src = static_cast<NodeId>(to_i64(f[2]));
-      e.dst = static_cast<NodeId>(to_i64(f[3]));
-      e.seq = static_cast<std::uint32_t>(to_i64(f[4]));
-      e.eager = to_i64(f[6]) != 0;
-      if (v2 && !f[8].empty()) e.recv_time = to_i64(f[8]);
+      e.time = time(f[1]);
+      e.src = lex.u32(f[2]);
+      e.dst = lex.u32(f[3]);
+      e.seq = lex.u32(f[4]);
+      e.eager = lex.integer(f[6], 1) != 0;
+      if (v2 && !f[8].empty()) e.recv_time = time(f[8]);
       log.record_payload(e);
     } else if (f[0] == "phase") {
       PhaseEvent e;
-      e.time = to_i64(f[1]);
+      e.time = time(f[1]);
       e.label = f[6];
-      if (e.label.empty()) {
-        throw std::runtime_error("phase row without a label: " + line);
-      }
+      if (e.label.empty()) lex.fail("phase row without a label: " + line);
       log.record_phase(std::move(e));
     } else {
-      throw std::runtime_error("unknown event kind: " + f[0]);
+      lex.fail("unknown event kind: " + f[0]);
     }
   }
   return log;

@@ -110,7 +110,8 @@ class TraceLog {
   void write_csv(std::ostream& os) const;
 
   /// Parses a CSV previously produced by write_csv (either schema
-  /// version). Throws std::runtime_error on malformed input.
+  /// version). Throws std::runtime_error("trace line N: ...") on malformed
+  /// input, including negative or out-of-range ids, seqs and times.
   static TraceLog read_csv(std::istream& is);
 
   /// Payload transmissions recorded for one message (buffered mode).

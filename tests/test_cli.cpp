@@ -311,6 +311,13 @@ TEST(Cli, ApplySweepParamCoversAllNames) {
   EXPECT_TRUE(apply_sweep_param(c, "seed", 5, error));
   EXPECT_FALSE(apply_sweep_param(c, "flux-capacitor", 1.21, error));
   EXPECT_NE(error.find("flux-capacitor"), std::string::npos);
+  // Millisecond values outside the SimTime range are rejected by name.
+  for (const char* name : {"t0-ms", "batch-ms", "interval-ms", "period-ms"}) {
+    for (const double bad : {1e300, -1.0}) {
+      EXPECT_FALSE(apply_sweep_param(c, name, bad, error)) << name;
+      EXPECT_EQ(error.rfind(std::string(name) + ": ", 0), 0u) << error;
+    }
+  }
 }
 
 TEST(Cli, WorkloadFlagsBuildSpec) {
@@ -367,6 +374,17 @@ TEST(Cli, RejectsBadWorkloadWindows) {
   EXPECT_EQ(error, "--duration-ms: must be > 0");
   EXPECT_FALSE(parse_cli({"--senders", "1", "--burst-on-ms", "0"}, error));
   EXPECT_EQ(error, "--burst-on-ms: must be > 0");
+  // Milliseconds past the SimTime range are rejected, not wrapped.
+  for (const char* flag : {"--duration-ms", "--burst-on-ms", "--burst-off-ms",
+                           "--interval-ms", "--period-ms", "--batch-ms"}) {
+    EXPECT_FALSE(parse_cli({"--senders", "1", flag, "18446744073709551615"},
+                           error));
+    EXPECT_EQ(error.rfind(std::string(flag) + ": ", 0), 0u) << error;
+  }
+  for (const char* t0 : {"-5", "1e300", "nan"}) {
+    EXPECT_FALSE(parse_cli({"--t0", t0}, error));
+    EXPECT_EQ(error.rfind("--t0: ", 0), 0u) << error;
+  }
 }
 
 TEST(Cli, RejectsEmptyTopicConfiguration) {
@@ -454,6 +472,10 @@ TEST(Cli, ApplySweepParamWorkloadNames) {
   EXPECT_DOUBLE_EQ(c.workload.publishers[1].rate, 99.0);
   EXPECT_FALSE(apply_sweep_param(c, "senders", 0, error));
   EXPECT_FALSE(apply_sweep_param(c, "rate", -1, error));
+  for (const char* name : {"duration-ms", "burst-on-ms", "burst-off-ms"}) {
+    EXPECT_FALSE(apply_sweep_param(c, name, 1e300, error)) << name;
+    EXPECT_EQ(error.rfind(std::string(name) + ": ", 0), 0u) << error;
+  }
 }
 
 TEST(Cli, ParseValueList) {

@@ -124,6 +124,7 @@ TEST(ExpectParse, MalformedLinesReportLineNumbers) {
   expect_parse_error("metric foo >= \n", 1, "metric");
   expect_parse_error("metric foo ~= 1\n", 1, "unknown comparison");
   expect_parse_error("deliver phase=a,b min=1\n", 1, "comma");
+  expect_parse_error("metric x <= nan\n", 1, "finite");
 }
 
 TEST(ExpectParse, MergeComposesFiles) {

@@ -139,6 +139,13 @@ TEST(ScenarioText, ErrorsCarryLineNumbers) {
   expect_parse_error("1s churn 2\n", "expected key=value");
   expect_parse_error("-1s phase x\n", "bad time");
   expect_parse_error("1s\n", "expected '<time> <command> ...'");
+  // Unknown keys are errors, not silently ignored (a typo'd `for=` would
+  // otherwise make the burst permanent).
+  expect_parse_error("1s loss rate=0.5 fro=5s\n", "unknown key 'fro='");
+  expect_parse_error("1s churn rate=1 link=1-2\n", "unknown key 'link='");
+  expect_parse_error("1s loss rate=nan\n", "finite");
+  expect_parse_error("1s latency factor=inf\n", "finite");
+  expect_parse_error("99999999999999999999s phase x\n", "out of range");
 }
 
 TEST(ScenarioText, LoadScenarioFileErrors) {

@@ -288,6 +288,8 @@ TEST(WorkloadText, RejectionsNameTheLine) {
                 "duplicate");
   expect_reject("publisher poisson rate=1 topic=ghost\n", "ghost");
   expect_reject("publisher poisson rate=1 on=10ms\n", "on=");
+  expect_reject("publisher poisson rate=5 strat=1s\n", "unknown key 'strat='");
+  expect_reject("publisher poisson rate=inf\n", "finite");
   // A script with no publishers is rejected at end of parse (no line).
   EXPECT_THROW(parse_workload(std::string("duration 5s\n")),
                std::runtime_error);

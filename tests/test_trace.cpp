@@ -95,6 +95,24 @@ TEST(TraceLog, RejectsMalformedCsv) {
         "kind,time_us,node,peer,seq,latency_us,eager\ndelivery,xx,2,3,4,5,\n");
     EXPECT_THROW(TraceLog::read_csv(in), std::runtime_error);
   }
+  // Negative or out-of-range ids, seqs and times name their line instead
+  // of wrapping (a node of -5 used to become 4294967291).
+  for (const char* row :
+       {"delivery,1,-5,3,4,5,1,,", "delivery,1,2,3,4294967296,5,1,,",
+        "payload,-1,0,3,7,,1,,", "delivery,1,2,3,4,5,1,99999999999,",
+        "payload,1,0,3,7,,1,,-2"}) {
+    std::istringstream in(
+        std::string("kind,time_us,node,peer,seq,latency_us,eager,from,"
+                    "recv_time_us\n") +
+        row + "\n");
+    try {
+      TraceLog::read_csv(in);
+      ADD_FAILURE() << "accepted: " << row;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("trace line 2"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(TraceLog, CsvRoundTripKeepsV2Fields) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -221,6 +222,31 @@ TEST(Transport, DelayFactorStretchesLatency) {
   EXPECT_EQ(arrivals[1] - arrivals[0], 10 * kMillisecond);
 }
 
+TEST(Transport, HugeDelayFactorSaturatesInsteadOfWrapping) {
+  // 1e300 x the base delay leaves the SimTime range (the global x link
+  // product even overflows to inf). The delay must saturate past any
+  // run's end, not wrap to an early arrival; jitter must not overflow it.
+  TransportOptions opts;
+  opts.jitter = 0.5;
+  Fixture f(3, opts);
+  std::vector<SimTime> arrivals;
+  for (NodeId id = 1; id <= 2; ++id) {
+    f.transport.register_handler(id, [&](NodeId, const PacketPtr&) {
+      arrivals.push_back(f.sim.now());
+    });
+  }
+  f.transport.set_delay_factor(1e300);
+  f.transport.set_link_delay_factor(0, 2, 1e300);
+  f.transport.send(0, 1, make_packet(), 10, false);
+  f.transport.send(0, 2, make_packet(), 10, false);
+  f.sim.run_until(1000 * kSecond);
+  EXPECT_TRUE(arrivals.empty());
+  f.sim.run();
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_GE(arrivals[0], kTimeInfinity / 8);
+  EXPECT_GE(arrivals[1], kTimeInfinity / 8);
+}
+
 TEST(Transport, LinkDelayFactorOnlySlowsThatLink) {
   Fixture f(3);
   std::vector<std::pair<NodeId, SimTime>> arrivals;
@@ -283,6 +309,12 @@ TEST(Transport, FaultModifierValidation) {
   EXPECT_THROW(f.transport.set_link_extra_loss(0, 0, 0.5), CheckFailure);
   EXPECT_THROW(f.transport.set_link_extra_loss(0, 9, 0.5), CheckFailure);
   EXPECT_THROW(f.transport.set_link_delay_factor(1, 2, -1.0), CheckFailure);
+  EXPECT_THROW(f.transport.set_delay_factor(
+                   std::numeric_limits<double>::infinity()),
+               CheckFailure);
+  EXPECT_THROW(f.transport.set_link_delay_factor(
+                   1, 2, std::numeric_limits<double>::quiet_NaN()),
+               CheckFailure);
 }
 
 TEST(Transport, PayloadVsControlAccounting) {

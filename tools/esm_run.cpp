@@ -18,9 +18,7 @@
 #include "expect/expect_text.hpp"
 #include "harness/cli.hpp"
 #include "harness/runner.hpp"
-#include "harness/scenario_text.hpp"
 #include "harness/table.hpp"
-#include "load/workload_text.hpp"
 #include "stats/running.hpp"
 
 int main(int argc, char** argv) {
@@ -88,24 +86,9 @@ int main(int argc, char** argv) {
     std::fputs(harness::cli_help_text().c_str(), stdout);
     return 0;
   }
-  if (!options->scenario_path.empty()) {
-    try {
-      options->config.scenario =
-          harness::load_scenario_file(options->scenario_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "esm_run: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!options->workload_path.empty()) {
-    try {
-      options->config.workload =
-          load::load_workload_file(options->workload_path);
-      options->config.workload.validate(options->config.num_nodes);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "esm_run: %s\n", e.what());
-      return 2;
-    }
+  if (!harness::load_input_files(*options, error)) {
+    std::fprintf(stderr, "esm_run: %s\n", error.c_str());
+    return 2;
   }
   if (reps > 1 && (!trace_path.empty() || !trace_stream_path.empty())) {
     std::fprintf(stderr,

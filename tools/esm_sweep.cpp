@@ -16,9 +16,7 @@
 
 #include "harness/cli.hpp"
 #include "harness/runner.hpp"
-#include "harness/scenario_text.hpp"
 #include "harness/table.hpp"
-#include "load/workload_text.hpp"
 
 int main(int argc, char** argv) {
   using namespace esm;
@@ -66,23 +64,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "esm_sweep: %s\n", error.c_str());
     return 2;
   }
-  if (!base->scenario_path.empty()) {
-    try {
-      base->config.scenario =
-          harness::load_scenario_file(base->scenario_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "esm_sweep: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!base->workload_path.empty()) {
-    try {
-      base->config.workload = load::load_workload_file(base->workload_path);
-      base->config.workload.validate(base->config.num_nodes);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "esm_sweep: %s\n", e.what());
-      return 2;
-    }
+  if (!harness::load_input_files(*base, error)) {
+    std::fprintf(stderr, "esm_sweep: %s\n", error.c_str());
+    return 2;
   }
   const auto values = harness::parse_value_list(values_text, error);
   if (!values) {
