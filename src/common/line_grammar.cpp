@@ -16,9 +16,6 @@ std::optional<SimTime> to_sim_time(double value, SimTime unit) {
   return static_cast<SimTime>(t);
 }
 
-namespace {
-
-/// The whole token as a finite double, else nullopt.
 std::optional<double> finite_number(const std::string& token) {
   double v = 0.0;
   const char* end = token.data() + token.size();
@@ -28,6 +25,17 @@ std::optional<double> finite_number(const std::string& token) {
   }
   return v;
 }
+
+std::optional<std::uint64_t> bounded_integer(const std::string& token,
+                                             std::uint64_t max) {
+  std::uint64_t v = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > max) return std::nullopt;
+  return v;
+}
+
+namespace {
 
 bool listed(const std::string& word,
             std::initializer_list<const char*> vocabulary) {
@@ -91,13 +99,18 @@ double Lexer::number(const std::string& token) const {
 
 std::uint64_t Lexer::integer(const std::string& token,
                              std::uint64_t max) const {
-  std::uint64_t v = 0;
-  const char* end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
-  if (ec != std::errc() || ptr != end || token.empty() || v > max) {
-    fail("bad integer '" + token + "'");
+  const std::optional<std::uint64_t> v = bounded_integer(token, max);
+  if (!v) fail("bad integer '" + token + "'");
+  return *v;
+}
+
+NodeId Lexer::node(const std::string& token) const {
+  const NodeId id = u32(token);
+  if (id >= num_nodes_) {
+    fail("node " + token + " out of range (" + std::to_string(num_nodes_) +
+         " nodes)");
   }
-  return v;
+  return id;
 }
 
 std::vector<NodeId> Lexer::node_list(const std::string& text) const {
@@ -108,10 +121,10 @@ std::vector<NodeId> Lexer::node_list(const std::string& text) const {
     if (item.empty()) fail("empty entry in node list '" + text + "'");
     const std::size_t dots = item.find("..");
     if (dots == std::string::npos) {
-      out.push_back(u32(item));
+      out.push_back(node(item));
     } else {
-      const NodeId lo = u32(item.substr(0, dots));
-      const NodeId hi = u32(item.substr(dots + 2));
+      const NodeId lo = node(item.substr(0, dots));
+      const NodeId hi = node(item.substr(dots + 2));
       if (lo > hi) fail("backwards range '" + item + "'");
       // 64-bit counter: `hi` may be the largest NodeId.
       for (std::uint64_t id = lo; id <= hi; ++id) {

@@ -23,13 +23,27 @@ namespace esm::text {
 /// not finite, or the product does not fit a SimTime.
 std::optional<SimTime> to_sim_time(double value, SimTime unit);
 
+/// The whole token as a finite number, else nullopt (`inf` and `nan` are
+/// rejected). The number rule of every text input and of the CLI.
+std::optional<double> finite_number(const std::string& token);
+
+/// The whole token as a decimal integer in [0, max], else nullopt (no
+/// sign, no exponent). The integer rule of every text input and the CLI.
+std::optional<std::uint64_t> bounded_integer(const std::string& token,
+                                             std::uint64_t max);
+
+/// Node ids are below this when a grammar is not told the node count.
+inline constexpr std::uint64_t kAnyNodeCount = std::uint64_t{1} << 32;
+
 struct KvArgs;
 
 /// Reads the lines of one grammar and parses their tokens. Every failure
-/// throws std::runtime_error("<grammar> line N: <what>").
+/// throws std::runtime_error("<grammar> line N: <what>"). Node ids must
+/// be below `num_nodes`.
 class Lexer {
  public:
-  explicit Lexer(const char* grammar) : grammar_(grammar) {}
+  explicit Lexer(const char* grammar, std::uint64_t num_nodes = kAnyNodeCount)
+      : grammar_(grammar), num_nodes_(num_nodes) {}
 
   /// Reads the next line that holds a token into `tokens`: `#` starts a
   /// comment, whitespace separates tokens, blank lines are skipped.
@@ -53,7 +67,10 @@ class Lexer {
   std::uint32_t u32(const std::string& token) const {
     return static_cast<std::uint32_t>(integer(token, 0xffffffffU));
   }
-  /// "0..4,9,12..13" -> {0,1,2,3,4,9,12,13}; never empty.
+  /// A node id below the node count.
+  NodeId node(const std::string& token) const;
+  /// "0..4,9,12..13" -> {0,1,2,3,4,9,12,13}; never empty. Both ends of a
+  /// range are checked against the node count before it is expanded.
   std::vector<NodeId> node_list(const std::string& text) const;
   /// tokens[first..] as key=value pairs. A bare token is accepted as a
   /// flag only when `bare` lists it.
@@ -62,6 +79,7 @@ class Lexer {
 
  private:
   const char* grammar_;
+  std::uint64_t num_nodes_;
   std::size_t line_ = 0;
 };
 

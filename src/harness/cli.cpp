@@ -1,10 +1,10 @@
 #include "harness/cli.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <exception>
+#include <initializer_list>
+#include <limits>
 #include <sstream>
 
 #include "common/line_grammar.hpp"
@@ -152,32 +152,12 @@ Output:
 
 namespace {
 
-bool parse_double(const std::string& s, double& out) {
-  const char* begin = s.data();
-  const char* end = begin + s.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc() && ptr == end;
-}
-
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  const char* begin = s.data();
-  const char* end = begin + s.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc() && ptr == end;
-}
-
-/// Milliseconds -> SimTime; a negative, non-finite or out-of-range value
-/// sets `error` ("<name>: ...") instead.
-bool ms_to_time(const std::string& name, double ms, SimTime& out,
-                std::string& error) {
-  const std::optional<SimTime> t = text::to_sim_time(ms, kMillisecond);
-  if (!t) {
-    error = name + ": must be a non-negative time in range (ms)";
-    return false;
-  }
-  out = *t;
-  return true;
-}
+/// One value of an enum-valued flag, by name.
+template <class T>
+struct Choice {
+  const char* name;
+  T value;
+};
 
 }  // namespace
 
@@ -189,15 +169,15 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
 
   // Inline heavy-traffic workload flags, assembled into config.workload
   // after the loop (only when --senders was given).
-  std::uint64_t wl_senders = 0;
+  std::uint32_t wl_senders = 0;
   double wl_rate = 10.0;
   load::ArrivalKind wl_arrival = load::ArrivalKind::poisson;
   SimTime wl_duration = 20 * kSecond;
   SimTime wl_burst_on = 500 * kMillisecond;
   SimTime wl_burst_off = 1500 * kMillisecond;
-  std::uint64_t wl_topics = 0;
+  std::uint32_t wl_topics = 0;
   double wl_topic_fraction = 0.25;
-  bool wl_aux_seen = false;  // any workload flag other than --senders
+  std::string wl_aux_flag;  // the last workload flag other than --senders
 
   std::size_t i = 0;
   auto next_value = [&](const std::string& flag, std::string& out) {
@@ -211,222 +191,191 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
   auto next_double = [&](const std::string& flag, double& out) {
     std::string v;
     if (!next_value(flag, v)) return false;
-    if (!parse_double(v, out)) {
-      error = flag + ": not a number: " + v;
+    const std::optional<double> d = text::finite_number(v);
+    if (!d) {
+      error = flag + ": not a finite number: " + v;
       return false;
     }
+    out = *d;
     return true;
   };
-  auto next_u64 = [&](const std::string& flag, std::uint64_t& out) {
+  auto next_int = [&](const std::string& flag, std::uint64_t max,
+                      std::uint64_t& out) {
     std::string v;
     if (!next_value(flag, v)) return false;
-    if (!parse_u64(v, out)) {
-      error = flag + ": not an unsigned integer: " + v;
+    const std::optional<std::uint64_t> n = text::bounded_integer(v, max);
+    if (!n) {
+      error = flag + ": not an integer in [0, " + std::to_string(max) +
+              "]: " + v;
       return false;
     }
+    out = *n;
     return true;
   };
-
-  auto ms_time = [&](const std::string& flag, double ms, SimTime& out) {
-    return ms_to_time(flag, ms, out, error);
+  // An unsigned integer that fits the field it is stored in.
+  auto next_uint = [&]<class T>(const std::string& flag, T& out) {
+    std::uint64_t n = 0;
+    if (!next_int(flag, std::numeric_limits<T>::max(), n)) return false;
+    out = static_cast<T>(n);
+    return true;
+  };
+  // Milliseconds as a SimTime, rejected by name when out of range.
+  auto to_time = [&](const std::string& flag, double ms, SimTime& out) {
+    const std::optional<SimTime> t = text::to_sim_time(ms, kMillisecond);
+    if (!t) {
+      error = flag + ": must be a non-negative time in range (ms)";
+      return false;
+    }
+    out = *t;
+    return true;
+  };
+  auto next_ms = [&](const std::string& flag, SimTime& out) {
+    std::uint64_t ms = 0;
+    return next_uint(flag, ms) &&
+           to_time(flag, static_cast<double>(ms), out);
+  };
+  auto reject = [&](const char* what) {
+    error = what;
+    return false;
+  };
+  // An enum-valued flag; an unknown name fails as "<flag>: <unknown><v>".
+  auto next_choice = [&]<class T>(const std::string& flag,
+                                  const char* unknown,
+                                  std::initializer_list<Choice<T>> choices,
+                                  T& out) {
+    std::string v;
+    if (!next_value(flag, v)) return false;
+    for (const Choice<T>& choice : choices) {
+      if (v == choice.name) {
+        out = choice.value;
+        return true;
+      }
+    }
+    error = flag + ": " + unknown + v;
+    return false;
   };
 
   for (; i < args.size(); ++i) {
     const std::string& flag = args[i];
     std::uint64_t u64 = 0;
     double d = 0.0;
-    std::string v;
+    bool ok = true;
     if (flag == "--help") {
       options.help = true;
       return options;
     } else if (flag == "--kv") {
       options.json = true;
     } else if (flag == "--strategy") {
-      if (!next_value(flag, v)) return std::nullopt;
-      if (v == "flat") {
-        s.kind = StrategyKind::flat;
-      } else if (v == "ttl") {
-        s.kind = StrategyKind::ttl;
-      } else if (v == "radius") {
-        s.kind = StrategyKind::radius;
-      } else if (v == "ranked") {
-        s.kind = StrategyKind::ranked;
-      } else if (v == "hybrid") {
-        s.kind = StrategyKind::hybrid;
-      } else if (v == "adaptive") {
-        s.kind = StrategyKind::adaptive;
-      } else {
-        error = "--strategy: unknown strategy: " + v;
-        return std::nullopt;
-      }
+      ok = next_choice(flag, "unknown strategy: ",
+                       {{"flat", StrategyKind::flat},
+                        {"ttl", StrategyKind::ttl},
+                        {"radius", StrategyKind::radius},
+                        {"ranked", StrategyKind::ranked},
+                        {"hybrid", StrategyKind::hybrid},
+                        {"adaptive", StrategyKind::adaptive}},
+                       s.kind);
     } else if (flag == "--monitor") {
-      if (!next_value(flag, v)) return std::nullopt;
-      if (v == "oracle") {
-        s.monitor = MonitorKind::oracle_latency;
-      } else if (v == "distance") {
-        s.monitor = MonitorKind::distance;
-      } else if (v == "ping") {
-        s.monitor = MonitorKind::ping;
-      } else if (v == "piggyback") {
-        s.monitor = MonitorKind::piggyback;
-      } else {
-        error = "--monitor: unknown monitor: " + v;
-        return std::nullopt;
-      }
+      ok = next_choice(flag, "unknown monitor: ",
+                       {{"oracle", MonitorKind::oracle_latency},
+                        {"distance", MonitorKind::distance},
+                        {"ping", MonitorKind::ping},
+                        {"piggyback", MonitorKind::piggyback}},
+                       s.monitor);
     } else if (flag == "--kill-mode") {
-      if (!next_value(flag, v)) return std::nullopt;
-      if (v == "random") {
-        c.kill_mode = KillMode::random;
-      } else if (v == "best") {
-        c.kill_mode = KillMode::best_ranked;
-      } else {
-        error = "--kill-mode: unknown mode: " + v;
-        return std::nullopt;
-      }
+      ok = next_choice(flag, "unknown mode: ",
+                       {{"random", KillMode::random},
+                        {"best", KillMode::best_ranked}},
+                       c.kill_mode);
     } else if (flag == "--pi") {
-      if (!next_double(flag, s.pi)) return std::nullopt;
+      ok = next_double(flag, s.pi);
     } else if (flag == "--u") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      s.u = static_cast<Round>(u64);
+      ok = next_uint(flag, s.u);
     } else if (flag == "--rho") {
-      if (!next_double(flag, s.rho)) return std::nullopt;
+      ok = next_double(flag, s.rho);
     } else if (flag == "--best") {
-      if (!next_double(flag, s.best_fraction)) return std::nullopt;
+      ok = next_double(flag, s.best_fraction);
     } else if (flag == "--noise") {
-      if (!next_double(flag, s.noise)) return std::nullopt;
+      ok = next_double(flag, s.noise);
     } else if (flag == "--t0") {
-      if (!next_double(flag, d) || !ms_time(flag, d, s.t0)) {
-        return std::nullopt;
-      }
+      ok = next_double(flag, d) && to_time(flag, d, s.t0);
     } else if (flag == "--gossip-rank") {
       s.use_gossip_rank = true;
     } else if (flag == "--nodes") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.num_nodes = static_cast<std::uint32_t>(u64);
+      ok = next_uint(flag, c.num_nodes);
     } else if (flag == "--messages") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.num_messages = static_cast<std::uint32_t>(u64);
+      ok = next_uint(flag, c.num_messages);
     } else if (flag == "--payload") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.payload_bytes = static_cast<std::uint32_t>(u64);
+      ok = next_uint(flag, c.payload_bytes);
     } else if (flag == "--interval-ms") {
-      if (!next_u64(flag, u64) || !ms_time(flag, u64, c.mean_interval)) {
-        return std::nullopt;
-      }
+      ok = next_ms(flag, c.mean_interval);
     } else if (flag == "--seed") {
-      if (!next_u64(flag, c.seed)) return std::nullopt;
+      ok = next_uint(flag, c.seed);
     } else if (flag == "--shards") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      if (u64 < 1) {
-        error = "--shards: must be >= 1";
-        return std::nullopt;
-      }
-      c.shards = static_cast<std::uint32_t>(u64);
+      ok = next_uint(flag, c.shards) &&
+           (c.shards >= 1 || reject("--shards: must be >= 1"));
     } else if (flag == "--path-model") {
-      if (!next_value(flag, v)) return std::nullopt;
-      if (v == "dense") {
-        c.path_model = net::PathModelKind::dense;
-      } else if (v == "ondemand") {
-        c.path_model = net::PathModelKind::ondemand;
-      } else if (v == "auto") {
-        c.path_model = net::PathModelKind::automatic;
-      } else {
-        error = "--path-model: unknown model: " + v;
-        return std::nullopt;
-      }
+      ok = next_choice(flag, "unknown model: ",
+                       {{"dense", net::PathModelKind::dense},
+                        {"ondemand", net::PathModelKind::ondemand},
+                        {"auto", net::PathModelKind::automatic}},
+                       c.path_model);
     } else if (flag == "--path-cache-mb") {
-      if (!next_u64(flag, u64)) return std::nullopt;
+      ok = next_int(flag, std::numeric_limits<std::size_t>::max() >> 20, u64);
       c.path_cache_bytes = static_cast<std::size_t>(u64) << 20;
     } else if (flag == "--sender") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.single_sender = static_cast<NodeId>(u64);
+      ok = next_uint(flag, c.single_sender);
     } else if (flag == "--loss") {
-      if (!next_double(flag, c.loss_rate)) return std::nullopt;
+      ok = next_double(flag, c.loss_rate);
     } else if (flag == "--bandwidth") {
-      if (!next_u64(flag, c.bandwidth_bps)) return std::nullopt;
+      ok = next_uint(flag, c.bandwidth_bps);
     } else if (flag == "--buffer") {
-      if (!next_u64(flag, c.egress_buffer_bytes)) return std::nullopt;
+      ok = next_uint(flag, c.egress_buffer_bytes);
     } else if (flag == "--purge") {
-      if (!next_value(flag, v)) return std::nullopt;
-      if (v == "newest") {
-        c.purge_policy = net::TransportOptions::PurgePolicy::drop_newest;
-      } else if (v == "oldest") {
-        c.purge_policy = net::TransportOptions::PurgePolicy::drop_oldest;
-      } else {
-        error = "--purge: unknown policy: " + v;
-        return std::nullopt;
-      }
+      using Purge = net::TransportOptions::PurgePolicy;
+      ok = next_choice(flag, "unknown policy: ",
+                       {{"newest", Purge::drop_newest},
+                        {"oldest", Purge::drop_oldest}},
+                       c.purge_policy);
     } else if (flag == "--backpressure") {
-      if (!next_value(flag, v)) return std::nullopt;
-      if (v == "on") {
-        c.backpressure = true;
-      } else if (v == "off") {
-        c.backpressure = false;
-      } else {
-        error = "--backpressure: expected on or off, got: " + v;
-        return std::nullopt;
-      }
+      ok = next_choice(flag, "expected on or off, got: ",
+                       {{"on", true}, {"off", false}}, c.backpressure);
     } else if (flag == "--bp-high") {
-      if (!next_double(flag, c.bp_high_watermark)) return std::nullopt;
+      ok = next_double(flag, c.bp_high_watermark);
     } else if (flag == "--bp-low") {
-      if (!next_double(flag, c.bp_low_watermark)) return std::nullopt;
+      ok = next_double(flag, c.bp_low_watermark);
     } else if (flag == "--bp-replies") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.bp_max_replies_per_dst = static_cast<std::uint32_t>(u64);
+      ok = next_uint(flag, c.bp_max_replies_per_dst);
     } else if (flag == "--pull-sched") {
-      if (!next_value(flag, v)) return std::nullopt;
-      if (v == "random") {
-        c.pull_sched = core::PullOrder::random;
-      } else if (v == "rarest") {
-        c.pull_sched = core::PullOrder::rarest;
-      } else {
-        error = "--pull-sched: unknown policy: " + v;
-        return std::nullopt;
-      }
+      ok = next_choice(flag, "unknown policy: ",
+                       {{"random", core::PullOrder::random},
+                        {"rarest", core::PullOrder::rarest}},
+                       c.pull_sched);
     } else if (flag == "--slow") {
-      if (!next_double(flag, c.slow_fraction)) return std::nullopt;
+      ok = next_double(flag, c.slow_fraction);
     } else if (flag == "--slow-bandwidth") {
-      if (!next_u64(flag, c.slow_bandwidth_bps)) return std::nullopt;
+      ok = next_uint(flag, c.slow_bandwidth_bps);
     } else if (flag == "--adaptive-fanout") {
       c.adaptive_fanout = true;
     } else if (flag == "--fanout") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.gossip.fanout = static_cast<std::uint32_t>(u64);
+      ok = next_uint(flag, c.gossip.fanout);
     } else if (flag == "--rounds") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.gossip.max_rounds = static_cast<Round>(u64);
+      ok = next_uint(flag, c.gossip.max_rounds);
     } else if (flag == "--degree") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.overlay.view_size = static_cast<std::uint32_t>(u64);
+      ok = next_uint(flag, c.overlay.view_size);
     } else if (flag == "--period-ms") {
-      if (!next_u64(flag, u64) ||
-          !ms_time(flag, u64, c.retransmission_period)) {
-        return std::nullopt;
-      }
+      ok = next_ms(flag, c.retransmission_period);
     } else if (flag == "--retry-rounds") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      c.max_request_rounds = static_cast<std::uint32_t>(u64);
+      ok = next_uint(flag, c.max_request_rounds);
     } else if (flag == "--batch-ms") {
-      if (!next_u64(flag, u64) ||
-          !ms_time(flag, u64, c.ihave_batch_window)) {
-        return std::nullopt;
-      }
+      ok = next_ms(flag, c.ihave_batch_window);
     } else if (flag == "--overlay") {
-      if (!next_value(flag, v)) return std::nullopt;
-      if (v == "cyclon") {
-        c.overlay_kind = OverlayKind::cyclon;
-      } else if (v == "static") {
-        c.overlay_kind = OverlayKind::static_random;
-      } else if (v == "hyparview") {
-        c.overlay_kind = OverlayKind::hyparview;
-      } else if (v == "neem") {
-        c.overlay_kind = OverlayKind::neem;
-      } else if (v == "oracle") {
-        c.overlay_kind = OverlayKind::oracle;
-      } else {
-        error = "--overlay: unknown overlay: " + v;
-        return std::nullopt;
-      }
+      ok = next_choice(flag, "unknown overlay: ",
+                       {{"cyclon", OverlayKind::cyclon},
+                        {"static", OverlayKind::static_random},
+                        {"hyparview", OverlayKind::hyparview},
+                        {"neem", OverlayKind::neem},
+                        {"oracle", OverlayKind::oracle}},
+                       c.overlay_kind);
     } else if (flag == "--oracle-sampler") {  // alias for --overlay oracle
       c.overlay_kind = OverlayKind::oracle;
     } else if (flag == "--wire") {
@@ -438,87 +387,58 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
     } else if (flag == "--tree-stats") {
       c.collect_tree_stats = true;
     } else if (flag == "--churn") {
-      if (!next_double(flag, c.churn_rate)) return std::nullopt;
+      ok = next_double(flag, c.churn_rate);
     } else if (flag == "--scenario") {
-      if (!next_value(flag, options.scenario_path)) return std::nullopt;
+      ok = next_value(flag, options.scenario_path);
     } else if (flag == "--kill") {
-      if (!next_double(flag, c.kill_fraction)) return std::nullopt;
+      ok = next_double(flag, c.kill_fraction);
       if (c.kill_mode == KillMode::none) c.kill_mode = KillMode::random;
     } else if (flag == "--workload") {
-      if (!next_value(flag, options.workload_path)) return std::nullopt;
+      ok = next_value(flag, options.workload_path);
     } else if (flag == "--senders") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      if (u64 == 0) {
-        error = "--senders: must be >= 1";
-        return std::nullopt;
-      }
-      wl_senders = u64;
+      ok = next_uint(flag, wl_senders) &&
+           (wl_senders >= 1 || reject("--senders: must be >= 1"));
     } else if (flag == "--rate") {
-      if (!next_double(flag, d)) return std::nullopt;
-      if (!std::isfinite(d) || d <= 0.0) {
-        error = "--rate: must be > 0";
-        return std::nullopt;
-      }
-      wl_rate = d;
-      wl_aux_seen = true;
+      ok = next_double(flag, wl_rate) &&
+           (wl_rate > 0.0 || reject("--rate: must be > 0"));
+      wl_aux_flag = flag;
     } else if (flag == "--arrival") {
-      if (!next_value(flag, v)) return std::nullopt;
-      if (v == "poisson") {
-        wl_arrival = load::ArrivalKind::poisson;
-      } else if (v == "fixed") {
-        wl_arrival = load::ArrivalKind::fixed_rate;
-      } else if (v == "burst") {
-        wl_arrival = load::ArrivalKind::burst;
-      } else {
-        error = "--arrival: unknown kind: " + v;
-        return std::nullopt;
-      }
-      wl_aux_seen = true;
+      ok = next_choice(flag, "unknown kind: ",
+                       {{"poisson", load::ArrivalKind::poisson},
+                        {"fixed", load::ArrivalKind::fixed_rate},
+                        {"burst", load::ArrivalKind::burst}},
+                       wl_arrival);
+      wl_aux_flag = flag;
     } else if (flag == "--duration-ms") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      if (u64 == 0) {
-        error = "--duration-ms: must be > 0";
-        return std::nullopt;
-      }
-      if (!ms_time(flag, u64, wl_duration)) return std::nullopt;
-      wl_aux_seen = true;
+      ok = next_ms(flag, wl_duration) &&
+           (wl_duration > 0 || reject("--duration-ms: must be > 0"));
+      wl_aux_flag = flag;
     } else if (flag == "--burst-on-ms") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      if (u64 == 0) {
-        error = "--burst-on-ms: must be > 0";
-        return std::nullopt;
-      }
-      if (!ms_time(flag, u64, wl_burst_on)) return std::nullopt;
-      wl_aux_seen = true;
+      ok = next_ms(flag, wl_burst_on) &&
+           (wl_burst_on > 0 || reject("--burst-on-ms: must be > 0"));
+      wl_aux_flag = flag;
     } else if (flag == "--burst-off-ms") {
-      if (!next_u64(flag, u64) || !ms_time(flag, u64, wl_burst_off)) {
-        return std::nullopt;
-      }
-      wl_aux_seen = true;
+      ok = next_ms(flag, wl_burst_off);
+      wl_aux_flag = flag;
     } else if (flag == "--topics") {
-      if (!next_u64(flag, u64)) return std::nullopt;
-      if (u64 == 0) {
-        error = "--topics: must be >= 1";
-        return std::nullopt;
-      }
-      wl_topics = u64;
-      wl_aux_seen = true;
+      ok = next_uint(flag, wl_topics) &&
+           (wl_topics >= 1 || reject("--topics: must be >= 1"));
+      wl_aux_flag = flag;
     } else if (flag == "--topic-fraction") {
-      if (!next_double(flag, d)) return std::nullopt;
-      if (!std::isfinite(d) || d <= 0.0 || d > 1.0) {
-        error = "--topic-fraction: must be in (0, 1]";
-        return std::nullopt;
-      }
-      wl_topic_fraction = d;
-      wl_aux_seen = true;
+      ok = next_double(flag, wl_topic_fraction) &&
+           ((wl_topic_fraction > 0.0 && wl_topic_fraction <= 1.0) ||
+            reject("--topic-fraction: must be in (0, 1]"));
+      wl_aux_flag = flag;
     } else {
       error = "unknown flag: " + flag;
-      return std::nullopt;
+      ok = false;
     }
+    if (!ok) return std::nullopt;
   }
 
-  if (wl_aux_seen && wl_senders == 0 && options.workload_path.empty()) {
-    error = "--senders: required when other workload flags are given";
+  if (!wl_aux_flag.empty() && wl_senders == 0 &&
+      options.workload_path.empty()) {
+    error = wl_aux_flag + ": requires --senders";
     return std::nullopt;
   }
   if (c.backpressure && c.egress_buffer_bytes == 0) {
@@ -536,7 +456,8 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
     error = "--shards >= 2: scenario scripts need the single-threaded engine";
     return std::nullopt;
   }
-  if ((wl_senders > 0 || wl_aux_seen) && !options.workload_path.empty()) {
+  if ((wl_senders > 0 || !wl_aux_flag.empty()) &&
+      !options.workload_path.empty()) {
     error = "--workload: cannot be combined with inline workload flags";
     return std::nullopt;
   }
@@ -569,13 +490,15 @@ std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
 }
 
 bool load_input_files(CliOptions& options, std::string& error) {
+  ExperimentConfig& c = options.config;
   try {
     if (!options.scenario_path.empty()) {
-      options.config.scenario = load_scenario_file(options.scenario_path);
+      c.scenario = load_scenario_file(options.scenario_path, c.num_nodes);
+      c.scenario.validate(c.num_nodes);
     }
     if (!options.workload_path.empty()) {
-      options.config.workload = load::load_workload_file(options.workload_path);
-      options.config.workload.validate(options.config.num_nodes);
+      c.workload = load::load_workload_file(options.workload_path, c.num_nodes);
+      c.workload.validate(c.num_nodes);
     }
   } catch (const std::exception& e) {
     error = e.what();
@@ -584,146 +507,23 @@ bool load_input_files(CliOptions& options, std::string& error) {
   return true;
 }
 
-bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
-                       double value, std::string& error) {
-  if (name == "pi") {
-    config.strategy.pi = value;
-  } else if (name == "u") {
-    config.strategy.u = static_cast<Round>(value);
-  } else if (name == "rho") {
-    config.strategy.rho = value;
-  } else if (name == "best") {
-    config.strategy.best_fraction = value;
-  } else if (name == "noise") {
-    config.strategy.noise = value;
-  } else if (name == "t0-ms") {
-    if (!ms_to_time(name, value, config.strategy.t0, error)) return false;
-  } else if (name == "loss") {
-    config.loss_rate = value;
-  } else if (name == "kill") {
-    config.kill_fraction = value;
-    if (config.kill_mode == KillMode::none && value > 0.0) {
-      config.kill_mode = KillMode::random;
-    }
-  } else if (name == "churn") {
-    config.churn_rate = value;
-  } else if (name == "batch-ms") {
-    if (!ms_to_time(name, value, config.ihave_batch_window, error)) {
-      return false;
-    }
-  } else if (name == "interval-ms") {
-    if (!ms_to_time(name, value, config.mean_interval, error)) return false;
-  } else if (name == "period-ms") {
-    if (!ms_to_time(name, value, config.retransmission_period, error)) {
-      return false;
-    }
-  } else if (name == "retry-rounds") {
-    config.max_request_rounds = static_cast<std::uint32_t>(value);
-  } else if (name == "fanout") {
-    config.gossip.fanout = static_cast<std::uint32_t>(value);
-  } else if (name == "nodes") {
-    config.num_nodes = static_cast<std::uint32_t>(value);
-  } else if (name == "messages") {
-    config.num_messages = static_cast<std::uint32_t>(value);
-  } else if (name == "seed") {
-    config.seed = static_cast<std::uint64_t>(value);
-  } else if (name == "shards") {
-    if (value < 1.0) {
-      error = "shards: must be >= 1";
-      return false;
-    }
-    config.shards = static_cast<std::uint32_t>(value);
-  } else if (name == "backpressure") {
-    if (value != 0.0 && config.egress_buffer_bytes == 0) {
-      error = "backpressure: requires a bounded egress buffer (--buffer)";
-      return false;
-    }
-    config.backpressure = value != 0.0;
-  } else if (name == "senders") {
-    if (value < 1.0) {
-      error = "senders: must be >= 1";
-      return false;
-    }
-    const auto k = static_cast<std::size_t>(value);
-    // Grow/shrink the publisher pool, cloning the first spec so a sweep
-    // over k keeps whatever arrival process the base config set up.
-    const load::PublisherSpec proto = config.workload.publishers.empty()
-                                          ? load::PublisherSpec{}
-                                          : config.workload.publishers.front();
-    config.workload.publishers.assign(k, proto);
-    if (!config.workload.topics.empty()) {
-      for (std::size_t p = 0; p < k; ++p) {
-        config.workload.publishers[p].topic =
-            static_cast<std::uint32_t>(p % config.workload.topics.size());
-      }
-    }
-  } else if (name == "rate") {
-    if (!(value > 0.0)) {
-      error = "rate: must be > 0";
-      return false;
-    }
-    if (config.workload.empty()) {
-      error = "rate: requires a workload (--senders or --workload)";
-      return false;
-    }
-    for (auto& pub : config.workload.publishers) pub.rate = value;
-  } else if (name == "duration-ms") {
-    if (!(value > 0.0)) {
-      error = "duration-ms: must be > 0";
-      return false;
-    }
-    if (!ms_to_time(name, value, config.workload.duration, error)) {
-      return false;
-    }
-  } else if (name == "burst-on-ms") {
-    if (!(value > 0.0)) {
-      error = "burst-on-ms: must be > 0";
-      return false;
-    }
-    if (config.workload.empty()) {
-      error = "burst-on-ms: requires a workload (--senders or --workload)";
-      return false;
-    }
-    SimTime on = 0;
-    if (!ms_to_time(name, value, on, error)) return false;
-    for (auto& pub : config.workload.publishers) pub.burst_on = on;
-  } else if (name == "burst-off-ms") {
-    if (value < 0.0) {
-      error = "burst-off-ms: must be >= 0";
-      return false;
-    }
-    if (config.workload.empty()) {
-      error = "burst-off-ms: requires a workload (--senders or --workload)";
-      return false;
-    }
-    SimTime off = 0;
-    if (!ms_to_time(name, value, off, error)) return false;
-    for (auto& pub : config.workload.publishers) pub.burst_off = off;
-  } else {
-    error = "unknown sweep parameter: " + name;
-    return false;
-  }
-  return true;
-}
-
-std::optional<std::vector<double>> parse_value_list(const std::string& text,
-                                                    std::string& error) {
-  std::vector<double> values;
-  std::string token;
-  std::istringstream stream(text);
-  while (std::getline(stream, token, ',')) {
-    double v = 0.0;
-    if (!parse_double(token, v)) {
-      error = "not a number in value list: " + token;
+std::optional<std::vector<ExperimentConfig>> sweep_configs(
+    const std::vector<std::string>& args, const std::string& param,
+    const std::vector<std::string>& values, std::string& error) {
+  std::vector<ExperimentConfig> configs;
+  std::vector<std::string> point = args;
+  point.push_back("--" + param);
+  point.emplace_back();
+  for (const std::string& value : values) {
+    point.back() = value;
+    std::optional<CliOptions> options = parse_cli(point, error);
+    if (options && options->help) error = "--help: cannot be swept";
+    if (!options || options->help || !load_input_files(*options, error)) {
       return std::nullopt;
     }
-    values.push_back(v);
+    configs.push_back(std::move(options->config));
   }
-  if (values.empty()) {
-    error = "empty value list";
-    return std::nullopt;
-  }
-  return values;
+  return configs;
 }
 
 std::string format_result_kv(const ExperimentResult& result) {

@@ -34,14 +34,17 @@ struct CliOptions {
 /// Usage text for `esm_run --help`.
 std::string cli_help_text();
 
-/// Parses CLI arguments (excluding argv[0]). On error returns nullopt and
-/// sets `error` to a one-line diagnostic naming the offending flag.
+/// Parses CLI arguments (excluding argv[0]). Numbers must be finite and
+/// integers must fit their field (the text-input rules of
+/// common/line_grammar). On error returns nullopt and sets `error` to a
+/// one-line diagnostic naming the offending flag.
 std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
                                     std::string& error);
 
 /// Loads the --scenario and --workload files named in `options` into its
-/// config and validates the workload against the node count. On failure
-/// returns false and sets `error` to the file's diagnostic.
+/// config and validates both against the node count: a node id outside
+/// it fails with its line number, before any node range is expanded. On
+/// failure returns false and sets `error` to the file's diagnostic.
 bool load_input_files(CliOptions& options, std::string& error);
 
 /// Renders an ExperimentResult as `key=value` lines (stable interface for
@@ -67,17 +70,14 @@ std::string format_metrics_json(
     const obs::RunMetrics& metrics,
     const std::vector<std::vector<stats::PhaseReport>>& phase_runs);
 
-/// Applies one named sweep parameter to a config (used by `esm_sweep`).
-/// Supported names: pi, u, rho, best, noise, t0-ms, loss, kill, churn,
-/// batch-ms, interval-ms, period-ms, retry-rounds, fanout, nodes,
-/// messages, seed, senders, rate, duration-ms, burst-on-ms, burst-off-ms.
-/// Returns false and sets `error` for unknown names.
-bool apply_sweep_param(ExperimentConfig& config, const std::string& name,
-                       double value, std::string& error);
-
-/// Parses a comma-separated list of numbers ("0,0.5,1"). Returns nullopt
-/// and sets `error` on malformed input.
-std::optional<std::vector<double>> parse_value_list(const std::string& text,
-                                                    std::string& error);
+/// The configs of an `esm_sweep`: point k is `args` followed by
+/// `--<param> <values[k]>`, run through parse_cli and load_input_files as
+/// `esm_run` would run it. So every flag that takes a value can be swept,
+/// each value gets that flag's checks and error text, and each point loads
+/// its --scenario/--workload files against its own node count. On the
+/// first failing point returns nullopt and sets `error`.
+std::optional<std::vector<ExperimentConfig>> sweep_configs(
+    const std::vector<std::string>& args, const std::string& param,
+    const std::vector<std::string>& values, std::string& error);
 
 }  // namespace esm::harness

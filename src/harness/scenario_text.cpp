@@ -23,8 +23,8 @@ void parse_link_scope(const Lexer& lex, const KvArgs& args,
   if (dash == std::string::npos || dash == 0 || dash + 1 >= link->size()) {
     lex.fail("link scope must be link=A-B, got '" + *link + "'");
   }
-  event.link_a = lex.u32(link->substr(0, dash));
-  event.link_b = lex.u32(link->substr(dash + 1));
+  event.link_a = lex.node(link->substr(0, dash));
+  event.link_b = lex.node(link->substr(dash + 1));
 }
 
 /// `<command> <value_key>=V [<duration_key>=DUR]`, plus `[link=A-B]`
@@ -86,9 +86,10 @@ void parse_selector(const Lexer& lex, const std::vector<std::string>& tokens,
 
 }  // namespace
 
-fault::ScenarioScript parse_scenario(std::istream& is) {
+fault::ScenarioScript parse_scenario(std::istream& is,
+                                     std::uint64_t num_nodes) {
   ScenarioScript script;
-  Lexer lex("scenario");
+  Lexer lex("scenario", num_nodes);
   std::vector<std::string> tokens;
   while (lex.next_line(is, tokens)) {
     if (tokens.size() < 2) lex.fail("expected '<time> <command> ...'");
@@ -151,14 +152,17 @@ fault::ScenarioScript parse_scenario(std::istream& is) {
   return script;
 }
 
-fault::ScenarioScript parse_scenario(const std::string& text) {
+fault::ScenarioScript parse_scenario(const std::string& text,
+                                     std::uint64_t num_nodes) {
   std::istringstream stream(text);
-  return parse_scenario(stream);
+  return parse_scenario(stream, num_nodes);
 }
 
-fault::ScenarioScript load_scenario_file(const std::string& path) {
-  return text::load_file(path, "scenario",
-                         [](std::istream& is) { return parse_scenario(is); });
+fault::ScenarioScript load_scenario_file(const std::string& path,
+                                         std::uint64_t num_nodes) {
+  return text::load_file(path, "scenario", [&](std::istream& is) {
+    return parse_scenario(is, num_nodes);
+  });
 }
 
 }  // namespace esm::harness

@@ -28,23 +28,28 @@
 //   120s  phase recovered
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
+#include "common/line_grammar.hpp"
 #include "fault/scenario.hpp"
 
 namespace esm::harness {
 
 /// Parses scenario text. Throws std::runtime_error with a line number on
-/// malformed input. The returned script is sorted but not yet validated
-/// against a node count (the experiment does that).
-fault::ScenarioScript parse_scenario(std::istream& is);
+/// malformed input, including a node id >= `num_nodes`. The returned
+/// script is sorted but not yet validated (ScenarioScript::validate).
+fault::ScenarioScript parse_scenario(
+    std::istream& is, std::uint64_t num_nodes = text::kAnyNodeCount);
 
 /// Convenience overload for string literals (tests, canned workloads).
-fault::ScenarioScript parse_scenario(const std::string& text);
+fault::ScenarioScript parse_scenario(
+    const std::string& text, std::uint64_t num_nodes = text::kAnyNodeCount);
 
-/// Reads and parses a scenario file; throws std::runtime_error when the
-/// file cannot be opened or parsed.
-fault::ScenarioScript load_scenario_file(const std::string& path);
+/// Reads and parses a scenario file for a run of `num_nodes` nodes;
+/// throws std::runtime_error when the file cannot be opened or parsed.
+fault::ScenarioScript load_scenario_file(const std::string& path,
+                                         std::uint64_t num_nodes);
 
 }  // namespace esm::harness

@@ -18,9 +18,9 @@ std::uint32_t topic_index(const text::Lexer& lex, const WorkloadSpec& spec,
 
 }  // namespace
 
-WorkloadSpec parse_workload(std::istream& is) {
+WorkloadSpec parse_workload(std::istream& is, std::uint64_t num_nodes) {
   WorkloadSpec spec;
-  text::Lexer lex("workload");
+  text::Lexer lex("workload", num_nodes);
   std::vector<std::string> tokens;
   while (lex.next_line(is, tokens)) {
     const std::string& command = tokens[0];
@@ -88,7 +88,7 @@ WorkloadSpec parse_workload(std::istream& is) {
         pub.topic = topic_index(lex, spec, *v);
       }
       if (const std::string* v = args.find("node")) {
-        pub.node = lex.u32(*v);
+        pub.node = lex.node(*v);
       }
       if (const std::string* v = args.find("payload")) {
         pub.payload_bytes = lex.u32(*v);
@@ -122,14 +122,16 @@ WorkloadSpec parse_workload(std::istream& is) {
   return spec;
 }
 
-WorkloadSpec parse_workload(const std::string& text) {
+WorkloadSpec parse_workload(const std::string& text, std::uint64_t num_nodes) {
   std::istringstream stream(text);
-  return parse_workload(stream);
+  return parse_workload(stream, num_nodes);
 }
 
-WorkloadSpec load_workload_file(const std::string& path) {
-  return text::load_file(path, "workload",
-                         [](std::istream& is) { return parse_workload(is); });
+WorkloadSpec load_workload_file(const std::string& path,
+                                std::uint64_t num_nodes) {
+  return text::load_file(path, "workload", [&](std::istream& is) {
+    return parse_workload(is, num_nodes);
+  });
 }
 
 }  // namespace esm::load

@@ -14,21 +14,27 @@
 // scripts (docs/PROTOCOL.md §7d).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 
+#include "common/line_grammar.hpp"
 #include "load/workload.hpp"
 
 namespace esm::load {
 
 /// Parses a workload script. Throws std::runtime_error with a
-/// "workload line N: ..." diagnostic on the first syntax error.
-/// Semantic checks against the node count happen later in
+/// "workload line N: ..." diagnostic on the first syntax error, including
+/// a node id >= `num_nodes`. The remaining semantic checks happen in
 /// WorkloadSpec::validate.
-WorkloadSpec parse_workload(std::istream& is);
-WorkloadSpec parse_workload(const std::string& text);
+WorkloadSpec parse_workload(std::istream& is,
+                            std::uint64_t num_nodes = text::kAnyNodeCount);
+WorkloadSpec parse_workload(const std::string& text,
+                            std::uint64_t num_nodes = text::kAnyNodeCount);
 
-/// Reads and parses `path`; errors are prefixed with the path.
-WorkloadSpec load_workload_file(const std::string& path);
+/// Reads and parses `path` for a run of `num_nodes` nodes; errors are
+/// prefixed with the path.
+WorkloadSpec load_workload_file(const std::string& path,
+                                std::uint64_t num_nodes);
 
 }  // namespace esm::load

@@ -1,6 +1,10 @@
 #include "harness/cli.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdlib>
+#include <fstream>
 
 namespace esm::harness {
 namespace {
@@ -217,14 +221,6 @@ TEST(Cli, RunExperimentEnforcesTheCliShardGate) {
   }
 }
 
-TEST(Cli, ShardsSweepParam) {
-  ExperimentConfig config;
-  std::string error;
-  EXPECT_TRUE(apply_sweep_param(config, "shards", 8.0, error));
-  EXPECT_EQ(config.shards, 8u);
-  EXPECT_FALSE(apply_sweep_param(config, "shards", 0.0, error));
-}
-
 TEST(Cli, ScenarioFlagStoresPath) {
   const auto options = parse({"--scenario", "examples/kill_best_nodes.scn"});
   ASSERT_TRUE(options);
@@ -281,43 +277,6 @@ TEST(Cli, FormatResultKvIsParseable) {
     ++lines;
   }
   EXPECT_GE(lines, 15);
-}
-
-TEST(Cli, ApplySweepParamCoversAllNames) {
-  ExperimentConfig c;
-  std::string error;
-  EXPECT_TRUE(apply_sweep_param(c, "pi", 0.3, error));
-  EXPECT_DOUBLE_EQ(c.strategy.pi, 0.3);
-  EXPECT_TRUE(apply_sweep_param(c, "u", 4, error));
-  EXPECT_EQ(c.strategy.u, 4u);
-  EXPECT_TRUE(apply_sweep_param(c, "rho", 12.5, error));
-  EXPECT_DOUBLE_EQ(c.strategy.rho, 12.5);
-  EXPECT_TRUE(apply_sweep_param(c, "best", 0.1, error));
-  EXPECT_TRUE(apply_sweep_param(c, "noise", 0.4, error));
-  EXPECT_TRUE(apply_sweep_param(c, "t0-ms", 50, error));
-  EXPECT_EQ(c.strategy.t0, 50 * kMillisecond);
-  EXPECT_TRUE(apply_sweep_param(c, "loss", 0.01, error));
-  EXPECT_TRUE(apply_sweep_param(c, "kill", 0.2, error));
-  EXPECT_EQ(c.kill_mode, KillMode::random);  // auto-defaulted
-  EXPECT_TRUE(apply_sweep_param(c, "churn", 1.0, error));
-  EXPECT_TRUE(apply_sweep_param(c, "batch-ms", 25, error));
-  EXPECT_EQ(c.ihave_batch_window, 25 * kMillisecond);
-  EXPECT_TRUE(apply_sweep_param(c, "interval-ms", 200, error));
-  EXPECT_TRUE(apply_sweep_param(c, "period-ms", 300, error));
-  EXPECT_TRUE(apply_sweep_param(c, "fanout", 7, error));
-  EXPECT_EQ(c.gossip.fanout, 7u);
-  EXPECT_TRUE(apply_sweep_param(c, "nodes", 64, error));
-  EXPECT_TRUE(apply_sweep_param(c, "messages", 99, error));
-  EXPECT_TRUE(apply_sweep_param(c, "seed", 5, error));
-  EXPECT_FALSE(apply_sweep_param(c, "flux-capacitor", 1.21, error));
-  EXPECT_NE(error.find("flux-capacitor"), std::string::npos);
-  // Millisecond values outside the SimTime range are rejected by name.
-  for (const char* name : {"t0-ms", "batch-ms", "interval-ms", "period-ms"}) {
-    for (const double bad : {1e300, -1.0}) {
-      EXPECT_FALSE(apply_sweep_param(c, name, bad, error)) << name;
-      EXPECT_EQ(error.rfind(std::string(name) + ": ", 0), 0u) << error;
-    }
-  }
 }
 
 TEST(Cli, WorkloadFlagsBuildSpec) {
@@ -447,44 +406,249 @@ TEST(Cli, PhaseKvIncludesLoadRates) {
   EXPECT_NE(kv.find("phase0_goodput_per_s=40"), std::string::npos);
 }
 
-TEST(Cli, ApplySweepParamWorkloadNames) {
-  ExperimentConfig c;
+/// The config of point `value` of a sweep of `param` over `base`.
+ExperimentConfig sweep_point(const std::vector<std::string>& base,
+                             const std::string& param,
+                             const std::string& value) {
   std::string error;
-  // rate/burst knobs need a workload to act on.
-  EXPECT_FALSE(apply_sweep_param(c, "rate", 20, error));
-  EXPECT_NE(error.find("rate"), std::string::npos);
-  EXPECT_TRUE(apply_sweep_param(c, "senders", 8, error));
-  ASSERT_EQ(c.workload.publishers.size(), 8u);
-  EXPECT_TRUE(apply_sweep_param(c, "rate", 20, error));
-  for (const auto& pub : c.workload.publishers) {
-    EXPECT_DOUBLE_EQ(pub.rate, 20.0);
+  const auto configs = sweep_configs(base, param, {value}, error);
+  EXPECT_TRUE(configs) << param << "=" << value << ": " << error;
+  return configs ? configs->front() : ExperimentConfig{};
+}
+
+/// The error of a sweep point that must fail.
+std::string sweep_error(const std::vector<std::string>& base,
+                        const std::string& param, const std::string& value) {
+  std::string error;
+  EXPECT_FALSE(sweep_configs(base, param, {value}, error))
+      << param << "=" << value;
+  return error;
+}
+
+/// A temporary file holding `text`, removed when it goes out of scope.
+struct TempFile {
+  TempFile(const std::string& name, const std::string& text)
+      : path(::testing::TempDir() + "esm_test_cli_" + name) {
+    std::ofstream(path) << text;
   }
-  EXPECT_TRUE(apply_sweep_param(c, "duration-ms", 4000, error));
-  EXPECT_EQ(c.workload.duration, 4 * kSecond);
-  EXPECT_TRUE(apply_sweep_param(c, "burst-on-ms", 250, error));
-  EXPECT_EQ(c.workload.publishers[0].burst_on, 250 * kMillisecond);
-  EXPECT_TRUE(apply_sweep_param(c, "burst-off-ms", 750, error));
-  EXPECT_EQ(c.workload.publishers[0].burst_off, 750 * kMillisecond);
-  // Shrinking keeps the (possibly customized) first spec as the template.
-  c.workload.publishers.front().rate = 99.0;
-  EXPECT_TRUE(apply_sweep_param(c, "senders", 2, error));
-  ASSERT_EQ(c.workload.publishers.size(), 2u);
-  EXPECT_DOUBLE_EQ(c.workload.publishers[1].rate, 99.0);
-  EXPECT_FALSE(apply_sweep_param(c, "senders", 0, error));
-  EXPECT_FALSE(apply_sweep_param(c, "rate", -1, error));
-  for (const char* name : {"duration-ms", "burst-on-ms", "burst-off-ms"}) {
-    EXPECT_FALSE(apply_sweep_param(c, name, 1e300, error)) << name;
-    EXPECT_EQ(error.rfind(std::string(name) + ": ", 0), 0u) << error;
+  ~TempFile() { std::remove(path.c_str()); }
+  std::string path;
+};
+
+TEST(Cli, SweepConfigsCoverEveryFormerName) {
+  EXPECT_DOUBLE_EQ(sweep_point({}, "pi", "0.3").strategy.pi, 0.3);
+  EXPECT_EQ(sweep_point({}, "u", "4").strategy.u, 4u);
+  EXPECT_DOUBLE_EQ(sweep_point({}, "rho", "12.5").strategy.rho, 12.5);
+  EXPECT_DOUBLE_EQ(sweep_point({}, "best", "0.1").strategy.best_fraction,
+                   0.1);
+  EXPECT_DOUBLE_EQ(sweep_point({}, "noise", "0.4").strategy.noise, 0.4);
+  EXPECT_EQ(sweep_point({}, "t0", "50").strategy.t0, 50 * kMillisecond);
+  EXPECT_DOUBLE_EQ(sweep_point({}, "loss", "0.01").loss_rate, 0.01);
+  const ExperimentConfig kill = sweep_point({}, "kill", "0.2");
+  EXPECT_DOUBLE_EQ(kill.kill_fraction, 0.2);
+  EXPECT_EQ(kill.kill_mode, KillMode::random);  // auto-defaulted
+  EXPECT_DOUBLE_EQ(sweep_point({}, "churn", "1").churn_rate, 1.0);
+  EXPECT_EQ(sweep_point({}, "batch-ms", "25").ihave_batch_window,
+            25 * kMillisecond);
+  EXPECT_EQ(sweep_point({}, "interval-ms", "200").mean_interval,
+            200 * kMillisecond);
+  EXPECT_EQ(sweep_point({}, "period-ms", "300").retransmission_period,
+            300 * kMillisecond);
+  EXPECT_EQ(sweep_point({}, "retry-rounds", "1").max_request_rounds, 1u);
+  EXPECT_EQ(sweep_point({}, "fanout", "7").gossip.fanout, 7u);
+  EXPECT_EQ(sweep_point({}, "nodes", "64").num_nodes, 64u);
+  EXPECT_EQ(sweep_point({}, "messages", "99").num_messages, 99u);
+  EXPECT_EQ(sweep_point({}, "seed", "5").seed, 5u);
+  EXPECT_TRUE(sweep_point({"--buffer", "4096"}, "backpressure", "on")
+                  .backpressure);
+  EXPECT_NE(sweep_error({}, "flux-capacitor", "1.21").find("flux-capacitor"),
+            std::string::npos);
+  // Millisecond values outside the SimTime range are rejected by name.
+  for (const char* name : {"t0", "batch-ms", "interval-ms", "period-ms"}) {
+    const std::string prefix = std::string("--") + name + ": ";
+    for (const char* bad : {"1e300", "-1"}) {
+      EXPECT_EQ(sweep_error({}, name, bad).rfind(prefix, 0), 0u);
+    }
   }
 }
 
-TEST(Cli, ParseValueList) {
+TEST(Cli, SweepConfigsShards) {
+  EXPECT_EQ(sweep_point({}, "shards", "8").shards, 8u);
+  EXPECT_EQ(sweep_error({}, "shards", "0"), "--shards: must be >= 1");
+}
+
+TEST(Cli, SweepConfigsWorkloadNames) {
+  // rate/burst knobs need a workload to act on.
+  const std::string no_workload = sweep_error({}, "rate", "20");
+  EXPECT_NE(no_workload.find("rate"), std::string::npos) << no_workload;
+  EXPECT_NE(no_workload.find("--senders"), std::string::npos) << no_workload;
+  EXPECT_EQ(sweep_point({}, "senders", "8").workload.publishers.size(), 8u);
+  const std::vector<std::string> eight = {"--senders", "8"};
+  for (const auto& pub : sweep_point(eight, "rate", "20").workload.publishers) {
+    EXPECT_DOUBLE_EQ(pub.rate, 20.0);
+  }
+  EXPECT_EQ(sweep_point(eight, "duration-ms", "4000").workload.duration,
+            4 * kSecond);
+  EXPECT_EQ(sweep_point(eight, "burst-on-ms", "250")
+                .workload.publishers[0]
+                .burst_on,
+            250 * kMillisecond);
+  EXPECT_EQ(sweep_point(eight, "burst-off-ms", "750")
+                .workload.publishers[0]
+                .burst_off,
+            750 * kMillisecond);
+  // Resizing keeps the base's publisher as the template, topics included.
+  const ExperimentConfig two =
+      sweep_point({"--senders", "8", "--arrival", "burst", "--rate", "99",
+                   "--topics", "2"},
+                  "senders", "3");
+  ASSERT_EQ(two.workload.publishers.size(), 3u);
+  for (std::size_t p = 0; p < 3; ++p) {
+    EXPECT_DOUBLE_EQ(two.workload.publishers[p].rate, 99.0);
+    EXPECT_EQ(two.workload.publishers[p].arrival, load::ArrivalKind::burst);
+    EXPECT_EQ(two.workload.publishers[p].topic, p % 2);
+  }
+  EXPECT_EQ(sweep_error({}, "senders", "0"), "--senders: must be >= 1");
+  EXPECT_EQ(sweep_error(eight, "rate", "-1"), "--rate: must be > 0");
+  for (const char* name : {"duration-ms", "burst-on-ms", "burst-off-ms"}) {
+    EXPECT_EQ(sweep_error(eight, name, "1e300")
+                  .rfind(std::string("--") + name + ": ", 0),
+              0u);
+  }
+  // A .wl base cannot take inline workload knobs, swept or not.
+  EXPECT_EQ(sweep_error({"--workload", "examples/saturation.wl"}, "rate", "5"),
+            "--workload: cannot be combined with inline workload flags");
+}
+
+TEST(Cli, SweepConfigsParseEachValue) {
   std::string error;
-  const auto ok = parse_value_list("0,0.5,1e2,-3", error);
-  ASSERT_TRUE(ok);
-  EXPECT_EQ(*ok, (std::vector<double>{0, 0.5, 100, -3}));
-  EXPECT_FALSE(parse_value_list("1,two,3", error));
-  EXPECT_FALSE(parse_value_list("", error));
+  const auto ok = sweep_configs({}, "pi", {"0", "0.5", "1e2", "-3"}, error);
+  ASSERT_TRUE(ok) << error;
+  ASSERT_EQ(ok->size(), 4u);
+  EXPECT_EQ((*ok)[0].strategy.pi, 0.0);
+  EXPECT_EQ((*ok)[1].strategy.pi, 0.5);
+  EXPECT_EQ((*ok)[2].strategy.pi, 100.0);
+  EXPECT_EQ((*ok)[3].strategy.pi, -3.0);
+  EXPECT_FALSE(sweep_configs({}, "pi", {"1", "two", "3"}, error));
+  EXPECT_EQ(error, "--pi: not a finite number: two");
+  EXPECT_FALSE(sweep_configs({}, "pi", {""}, error));
+  EXPECT_FALSE(sweep_configs({}, "help", {"1"}, error));
+}
+
+TEST(Cli, SweepConfigsRejectMalformedIntegers) {
+  EXPECT_EQ(sweep_error({}, "fanout", "1e300").rfind("--fanout: ", 0), 0u);
+  EXPECT_EQ(sweep_error({}, "seed", "-1").rfind("--seed: ", 0), 0u);
+  EXPECT_EQ(sweep_error({}, "nodes", "0.5").rfind("--nodes: ", 0), 0u);
+  EXPECT_EQ(sweep_error({}, "u", "1e3").rfind("--u: ", 0), 0u);
+}
+
+TEST(Cli, SweepConfigsSweepNonNumericFlags) {
+  std::string error;
+  const auto configs = sweep_configs({}, "strategy", {"flat", "ranked"}, error);
+  ASSERT_TRUE(configs) << error;
+  ASSERT_EQ(configs->size(), 2u);
+  EXPECT_EQ((*configs)[0].strategy.kind, StrategyKind::flat);
+  EXPECT_EQ((*configs)[1].strategy.kind, StrategyKind::ranked);
+  EXPECT_FALSE(sweep_configs({}, "strategy", {"flat", "magic"}, error));
+  EXPECT_EQ(error, "--strategy: unknown strategy: magic");
+}
+
+TEST(Cli, SweepConfigsLoadFilesAtEachPointsNodeCount) {
+  const TempFile scn("sweep_node_count.scn", "0s crash nodes 30..39\n");
+  std::string error;
+  const auto configs =
+      sweep_configs({"--scenario", scn.path}, "nodes", {"40", "60"}, error);
+  ASSERT_TRUE(configs) << error;
+  EXPECT_EQ((*configs)[1].scenario.events.size(), 1u);
+  EXPECT_FALSE(
+      sweep_configs({"--scenario", scn.path}, "nodes", {"40", "35"}, error));
+  EXPECT_NE(error.find("scenario line 1: node 39 out of range"),
+            std::string::npos)
+      << error;
+}
+
+TEST(Cli, RejectsIntegersWiderThanTheirField) {
+  std::string error;
+  EXPECT_FALSE(parse_cli({"--nodes", "4294967298"}, error));
+  EXPECT_EQ(error.rfind("--nodes: ", 0), 0u) << error;
+  EXPECT_EQ(parse({"--nodes", "4294967295"})->config.num_nodes, 4294967295u);
+  EXPECT_FALSE(parse_cli({"--path-cache-mb", "18446744073709551615"}, error));
+  EXPECT_EQ(error.rfind("--path-cache-mb: ", 0), 0u) << error;
+  EXPECT_EQ(parse({"--path-cache-mb", "512"})->config.path_cache_bytes,
+            std::size_t{512} << 20);
+  for (const char* flag : {"--fanout", "--u", "--degree", "--senders",
+                           "--topics", "--shards", "--sender"}) {
+    EXPECT_FALSE(parse_cli({flag, "4294967296"}, error)) << flag;
+    EXPECT_EQ(error.rfind(std::string(flag) + ": ", 0), 0u) << error;
+  }
+}
+
+TEST(Cli, RejectsNonFiniteNumbers) {
+  std::string error;
+  for (const char* flag : {"--pi", "--rho", "--best", "--noise", "--loss",
+                           "--kill", "--churn", "--slow", "--bp-high"}) {
+    for (const char* bad : {"nan", "inf", "-inf"}) {
+      EXPECT_FALSE(parse_cli({flag, bad}, error)) << flag << " " << bad;
+      EXPECT_EQ(error, std::string(flag) + ": not a finite number: " + bad);
+    }
+  }
+}
+
+TEST(Cli, InputFilesRejectNodesOutsideTheRun) {
+  std::string error;
+  // Loads `text` as the --scenario (or --workload) of a 20-node run.
+  auto load = [&](const char* flag, const std::string& text) {
+    CliOptions options = *parse({"--nodes", "20"});
+    const TempFile file("input", text);
+    (std::string(flag) == "--scenario" ? options.scenario_path
+                                       : options.workload_path) = file.path;
+    return load_input_files(options, error);
+  };
+  // Node ranges are checked before they are expanded: neither of the
+  // huge ranges is allocated.
+  EXPECT_FALSE(load("--scenario", "0s crash nodes 0..4294967295\n"));
+  EXPECT_NE(error.find("scenario line 1: node 4294967295 out of range"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(load("--scenario", "0s crash nodes 25\n"));
+  EXPECT_NE(error.find("scenario line 1: node 25 out of range (20 nodes)"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(load("--scenario", "1s loss rate=0.5 link=3-25\n"));
+  EXPECT_NE(error.find("scenario line 1:"), std::string::npos) << error;
+  // Semantic checks run at load time too, not first inside the run.
+  EXPECT_FALSE(load("--scenario", "0s crash best 20\n"));
+  EXPECT_NE(error.find("count >= num_nodes"), std::string::npos) << error;
+  EXPECT_TRUE(load("--scenario", "0s crash nodes 0..19\n")) << error;
+
+  EXPECT_FALSE(load("--workload",
+                    "duration 1s\ntopic t nodes=0..50000000\n"
+                    "publisher poisson rate=1 topic=t\n"));
+  EXPECT_NE(error.find("workload line 2: node 50000000 out of range"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(load("--workload", "publisher poisson rate=1 node=20\n"));
+  EXPECT_NE(error.find("workload line 1: node 20 out of range"),
+            std::string::npos)
+      << error;
+}
+
+/// Exit status of a tool run with its output discarded.
+int tool_status(const std::string& command) {
+  const int status = std::system(
+      (std::string(ESM_TOOLS_DIR) + "/" + command + " >/dev/null 2>&1")
+          .c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(Cli, ToolsExitTwoOnMalformedValues) {
+  EXPECT_EQ(tool_status("esm_run --reps -1"), 2);
+  EXPECT_EQ(tool_status("esm_run --reps 2x"), 2);
+  EXPECT_EQ(tool_status("esm_run --nodes 4294967298"), 2);
+  EXPECT_EQ(tool_status("esm_run --pi nan"), 2);
+  EXPECT_EQ(tool_status("esm_sweep --param fanout --values 1e300"), 2);
+  EXPECT_EQ(tool_status("esm_sweep --param seed --values -1"), 2);
+  EXPECT_EQ(tool_status("esm_sweep --param nodes --values 0.5"), 2);
 }
 
 TEST(Cli, EndToEndSmallRun) {

@@ -149,7 +149,7 @@ TEST(ScenarioText, ErrorsCarryLineNumbers) {
 }
 
 TEST(ScenarioText, LoadScenarioFileErrors) {
-  EXPECT_THROW(harness::load_scenario_file("/nonexistent/file.scn"),
+  EXPECT_THROW(harness::load_scenario_file("/nonexistent/file.scn", 10),
                std::runtime_error);
 }
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/line_grammar.hpp"
 #include "expect/expect.hpp"
 #include "expect/expect_text.hpp"
 #include "harness/cli.hpp"
@@ -53,11 +54,15 @@ int main(int argc, char** argv) {
       } else if (args[i] == "--expect") {
         expect_paths.push_back(args[i + 1]);
       } else {
-        reps = std::strtoull(args[i + 1].c_str(), nullptr, 10);
-        if (reps == 0) {
-          std::fprintf(stderr, "esm_run: --reps must be >= 1\n");
+        const auto n = text::bounded_integer(args[i + 1], 0xffffffffU);
+        if (!n || *n == 0) {
+          std::fprintf(stderr,
+                       "esm_run: --reps: not an integer in [1, "
+                       "4294967295]: %s\n",
+                       args[i + 1].c_str());
           return 2;
         }
+        reps = *n;
       }
       args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                  args.begin() + static_cast<std::ptrdiff_t>(i) + 2);

@@ -1,4 +1,4 @@
-// esm_sweep: sweep one parameter over a list of values and print the
+// esm_sweep: sweep one esm_run flag over a list of values and print the
 // resulting latency/bandwidth/reliability series — a generic version of
 // the figure benches for user-chosen configurations.
 //
@@ -6,14 +6,21 @@
 //   esm_sweep --param noise --values 0,0.25,0.5,1 --strategy ranked
 //   esm_sweep --param kill --values 0,0.2,0.4 --strategy ttl --u 3 --csv
 //
-// Any esm_run flag is accepted as the base configuration. --csv emits
-// machine-readable rows instead of the table. Points run concurrently on
-// --jobs worker threads (default: hardware concurrency); each point owns
-// its Simulator and RNG streams, so output is byte-identical to --jobs 1.
+// --param names any esm_run flag that takes a value, without its dashes
+// (`strategy`, `nodes`, `t0`, `backpressure`, ...). Every other argument
+// is an esm_run flag of the base configuration, and each point is the
+// esm_run command line `<base> --PARAM VALUE`, so a value gets exactly
+// that flag's checks. The first column holds each value as typed (CSV
+// prints numbers as %g). --csv emits machine-readable rows instead of the
+// table. Points run concurrently on --jobs worker threads (default:
+// hardware concurrency); each point owns its Simulator and RNG streams,
+// so output is byte-identical to --jobs 1.
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/line_grammar.hpp"
 #include "harness/cli.hpp"
 #include "harness/runner.hpp"
 #include "harness/table.hpp"
@@ -50,44 +57,25 @@ int main(int argc, char** argv) {
   if (param.empty() || values_text.empty()) {
     std::fprintf(stderr,
                  "esm_sweep: --param NAME and --values V1,V2,... are "
-                 "required.\nSweepable: pi u rho best noise t0-ms loss kill "
-                 "churn batch-ms interval-ms period-ms retry-rounds fanout "
-                 "nodes messages seed shards senders rate duration-ms "
-                 "burst-on-ms burst-off-ms.\nAll esm_run flags form the base "
-                 "configuration;\n"
+                 "required.\nNAME is any esm_run flag that takes a value, "
+                 "without its dashes (see esm_run --help);\nthe other "
+                 "esm_run flags form the base configuration.\n"
                  "--jobs N runs points concurrently (default: all cores).\n");
     return 2;
   }
 
-  auto base = harness::parse_cli(args, error);
-  if (!base) {
+  std::vector<std::string> values;
+  std::istringstream list(values_text);
+  for (std::string v; std::getline(list, v, ',');) values.push_back(v);
+  const auto configs = harness::sweep_configs(args, param, values, error);
+  if (!configs) {
     std::fprintf(stderr, "esm_sweep: %s\n", error.c_str());
     return 2;
-  }
-  if (!harness::load_input_files(*base, error)) {
-    std::fprintf(stderr, "esm_sweep: %s\n", error.c_str());
-    return 2;
-  }
-  const auto values = harness::parse_value_list(values_text, error);
-  if (!values) {
-    std::fprintf(stderr, "esm_sweep: %s\n", error.c_str());
-    return 2;
-  }
-
-  std::vector<harness::ExperimentConfig> configs;
-  configs.reserve(values->size());
-  for (const double v : *values) {
-    harness::ExperimentConfig config = base->config;
-    if (!harness::apply_sweep_param(config, param, v, error)) {
-      std::fprintf(stderr, "esm_sweep: %s\n", error.c_str());
-      return 2;
-    }
-    configs.push_back(config);
   }
 
   std::vector<harness::ExperimentResult> results;
   try {
-    results = harness::run_experiments(configs, jobs);
+    results = harness::run_experiments(*configs, jobs);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "esm_sweep: %s\n", e.what());
     return 1;
@@ -96,16 +84,17 @@ int main(int argc, char** argv) {
   // With --tree-stats each point also reports the emergent-structure
   // series: eager-hop share, tree-edge latency vs the all-pairs overlay
   // baseline, and consecutive-tree Jaccard overlap.
-  const bool tree = base->config.collect_tree_stats;
+  const harness::ExperimentConfig& first = configs->front();
+  const bool tree = first.collect_tree_stats;
   // Workload sweeps (and sweeps over senders/rate starting from one) also
   // report the offered-load/goodput series — the saturation-knee axes.
-  bool load_cols = !base->config.workload.empty();
-  for (const auto& config : configs) {
+  bool load_cols = false;
+  for (const auto& config : *configs) {
     load_cols = load_cols || !config.workload.empty();
   }
 
   harness::Table table("sweep of " + param + " (" +
-                       base->config.strategy.describe() + ")");
+                       first.strategy.describe() + ")");
   std::vector<std::string> header = {param, "latency ms", "p95 ms",
                                      "payload/msg", "deliveries %", "top5 %",
                                      "retries", "stalled"};
@@ -131,13 +120,17 @@ int main(int argc, char** argv) {
              : "");
   }
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const double v = (*values)[i];
+    const std::string& v = values[i];
     const harness::ExperimentResult& r = results[i];
     if (csv) {
-      std::printf("%g,%.3f,%.3f,%.3f,%.5f,%.5f,%llu,%llu", v,
-                  r.mean_latency_ms, r.p95_latency_ms,
-                  r.load_all.payload_per_msg, r.mean_delivery_fraction,
-                  r.top5_connection_share,
+      if (const auto number = text::finite_number(v)) {
+        std::printf("%g", *number);
+      } else {
+        std::printf("%s", v.c_str());
+      }
+      std::printf(",%.3f,%.3f,%.3f,%.5f,%.5f,%llu,%llu", r.mean_latency_ms,
+                  r.p95_latency_ms, r.load_all.payload_per_msg,
+                  r.mean_delivery_fraction, r.top5_connection_share,
                   static_cast<unsigned long long>(r.iwant_retries),
                   static_cast<unsigned long long>(r.recovery_stalled));
       if (load_cols) {
@@ -155,7 +148,7 @@ int main(int argc, char** argv) {
       std::printf("\n");
     } else {
       std::vector<std::string> row = {
-          harness::Table::num(v, 3),
+          v,
           harness::Table::num(r.mean_latency_ms, 0),
           harness::Table::num(r.p95_latency_ms, 0),
           harness::Table::num(r.load_all.payload_per_msg, 2),
