@@ -1421,19 +1421,16 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.load_best = {best_load.mean(),
                       static_cast<std::uint32_t>(best_load.count())};
 
-  // Connections by payload count, busiest first. The single engine keeps
-  // equal-count ties in hash-map iteration order (the goldens pin it); on
-  // the sharded engine that order depends on the shard partition
-  // (merged_stats() rebuilds the link map shard by shard), so ties break
-  // by endpoint there. The top-5% share is a sum over the busiest
-  // entries, which no tie order changes.
+  // Connections by payload count, busiest first, equal counts by
+  // endpoint: one order on both engines, independent of how the link
+  // map was built. The top-5% share is a sum over the busiest entries,
+  // which no tie order changes.
   result.connection_payloads = tstats.undirected_payload_counts();
-  const bool ties_by_endpoint = num_shards >= 2;
   std::sort(result.connection_payloads.begin(),
             result.connection_payloads.end(),
-            [ties_by_endpoint](const auto& a, const auto& b) {
+            [](const auto& a, const auto& b) {
               if (a.second != b.second) return a.second > b.second;
-              return ties_by_endpoint && a.first < b.first;
+              return a.first < b.first;
             });
   result.top5_connection_share = net::top_payload_share(
       result.connection_payloads, tstats.total_payload_packets(), 0.05);
