@@ -7,6 +7,7 @@
 #include <map>
 #include <sstream>
 
+#include "common/line_grammar.hpp"
 #include "obs/tree_stats.hpp"
 
 namespace esm::expect {
@@ -357,11 +358,12 @@ Outcome eval_tree(const Expectation& e, const EvalInput& in,
   std::uint64_t gap_violations = 0;
   std::uint64_t max_depth_seen = 0;
 
+  // A bound in rounds past the clock's range saturates: no gap exceeds it.
   const SimTime relay_bound =
       e.relay_within > 0
           ? e.relay_within
-          : static_cast<SimTime>(e.relay_within_rounds *
-                                 static_cast<double>(in.round));
+          : text::to_sim_time(e.relay_within_rounds, in.round)
+                .value_or(kTimeInfinity);
 
   for (const auto& [seq, msg] : index) {
     if (!in_window(msg.send_time, w)) continue;

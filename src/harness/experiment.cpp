@@ -1421,17 +1421,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   result.load_best = {best_load.mean(),
                       static_cast<std::uint32_t>(best_load.count())};
 
-  // Connections by payload count, busiest first, equal counts by
-  // endpoint: one order on both engines, independent of how the link
-  // map was built. The top-5% share is a sum over the busiest entries,
-  // which no tie order changes.
   result.connection_payloads = tstats.undirected_payload_counts();
-  std::sort(result.connection_payloads.begin(),
-            result.connection_payloads.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
   result.top5_connection_share = net::top_payload_share(
       result.connection_payloads, tstats.total_payload_packets(), 0.05);
   result.node_payloads.resize(config.num_nodes);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <utility>
 
 #include "sim/sharded.hpp"
@@ -14,6 +15,18 @@ inline std::uint64_t link_key(NodeId a, NodeId b) {
 }
 
 }  // namespace
+
+struct Transport::Delivery {
+  Transport* transport;
+  NodeId src;
+  NodeId dst;
+  bool is_payload;
+  PacketPtr packet;
+
+  void operator()() const {
+    transport->deliver(src, dst, is_payload, packet);
+  }
+};
 
 RandomLatencyModel::RandomLatencyModel(std::uint32_t n, SimTime lo, SimTime hi,
                                        std::uint64_t seed)
@@ -62,13 +75,13 @@ void TrafficStats::reset() {
 void TrafficStats::merge(const TrafficStats& other) {
   ESM_CHECK(node_sent_payload_.size() == other.node_sent_payload_.size(),
             "cannot merge traffic stats over different node counts");
-  for (const auto& [k, c] : other.links_) {
+  other.links_.for_each([this](std::uint64_t k, const LinkCounters& c) {
     LinkCounters& mine = links_[k];
     mine.packets += c.packets;
     mine.bytes += c.bytes;
     mine.payload_packets += c.payload_packets;
     mine.payload_bytes += c.payload_bytes;
-  }
+  });
   for (std::size_t n = 0; n < node_sent_payload_.size(); ++n) {
     node_sent_payload_[n] += other.node_sent_payload_[n];
     node_sent_packets_[n] += other.node_sent_packets_[n];
@@ -80,27 +93,32 @@ void TrafficStats::merge(const TrafficStats& other) {
 
 const LinkCounters& TrafficStats::link(NodeId src, NodeId dst) const {
   static const LinkCounters kEmpty{};
-  const auto it = links_.find(key(src, dst));
-  return it == links_.end() ? kEmpty : it->second;
+  const LinkCounters* c = links_.find(key(src, dst));
+  return c == nullptr ? kEmpty : *c;
 }
 
 std::vector<ConnectionPayload> TrafficStats::undirected_payload_counts()
     const {
-  std::unordered_map<std::uint64_t, std::uint64_t> undirected;
-  for (const auto& [k, counters] : links_) {
+  // Each connection is emitted once, from its lower-to-higher direction
+  // when that one was used; the reverse direction is folded in by lookup.
+  std::vector<ConnectionPayload> out;
+  out.reserve(links_.size());
+  links_.for_each([&](std::uint64_t k, const LinkCounters& c) {
     const NodeId src = static_cast<NodeId>(k >> 32);
     const NodeId dst = static_cast<NodeId>(k & 0xffffffffu);
-    const NodeId lo = std::min(src, dst);
-    const NodeId hi = std::max(src, dst);
-    undirected[key(lo, hi)] += counters.payload_packets;
-  }
-  std::vector<ConnectionPayload> out;
-  out.reserve(undirected.size());
-  for (const auto& [k, payload] : undirected) {
-    out.push_back({{static_cast<NodeId>(k >> 32),
-                    static_cast<NodeId>(k & 0xffffffffu)},
-                   payload});
-  }
+    if (src > dst && links_.contains(key(dst, src))) return;
+    std::uint64_t payload = c.payload_packets;
+    if (src < dst) {
+      if (const LinkCounters* back = links_.find(key(dst, src))) {
+        payload += back->payload_packets;
+      }
+    }
+    out.push_back({{std::min(src, dst), std::max(src, dst)}, payload});
+  });
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
   return out;
 }
 
@@ -117,10 +135,8 @@ double top_payload_share(const std::vector<ConnectionPayload>& busiest_first,
 }
 
 double TrafficStats::top_connection_payload_share(double fraction) const {
-  auto connections = undirected_payload_counts();
-  std::sort(connections.begin(), connections.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  return top_payload_share(connections, total_payload_packets_, fraction);
+  return top_payload_share(undirected_payload_counts(), total_payload_packets_,
+                           fraction);
 }
 
 Transport::Transport(sim::Simulator& sim, const LatencyModel& latency,
@@ -234,19 +250,21 @@ void Transport::send(NodeId src, NodeId dst, PacketPtr packet,
     return;  // the split swallows cross-group traffic
   }
 
-  Queued item;
-  item.dst = dst;
-  item.is_payload = is_payload;
   // Optional real serialization: exercise the wire codec on all traffic
-  // and bill exact encoded sizes. The receiver gets a freshly decoded
+  // and bill exact encoded sizes. What travels is a freshly decoded
   // object, so no in-memory state can leak across the "network".
   if (options_.codec != nullptr) {
-    item.encoded = options_.codec->encode(*packet, src, dst);
-    item.bytes = item.encoded.size();
-  } else {
-    item.packet = std::move(packet);
-    item.bytes = bytes;
+    const std::vector<std::uint8_t> encoded =
+        options_.codec->encode(*packet, src, dst);
+    bytes = encoded.size();
+    packet = options_.codec->decode(encoded);
   }
+  ESM_CHECK(bytes <= 0xffffffffU, "packet larger than 4 GiB");
+  Queued item;
+  item.packet = std::move(packet);
+  item.dst = dst;
+  item.bytes = static_cast<std::uint32_t>(bytes);
+  item.is_payload = is_payload;
 
   const std::uint64_t bandwidth = node_bandwidth(src);
   if (bandwidth == 0) {
@@ -361,6 +379,9 @@ void Transport::drain(NodeId src) {
 }
 
 void Transport::transmit(NodeId src, Queued item) {
+  static_assert(sizeof(Delivery) <= sim::EventCallback::kInlineBytes &&
+                    std::is_nothrow_move_constructible_v<Delivery>,
+                "a delivery event must fit EventCallback's inline buffer");
   stats_[slot_of(src)].record_send(src, item.dst, item.bytes,
                                    item.is_payload);
 
@@ -413,33 +434,24 @@ void Transport::transmit(NodeId src, Queued item) {
   }
   const SimTime arrival =
       sim_for(src).now() + std::max<SimTime>(delay, 1);
-  const NodeId dst = item.dst;
-  const std::uint32_t wire_bytes = static_cast<std::uint32_t>(item.bytes);
-  schedule_delivery(src, dst, arrival, wire_bytes,
-                    [this, src, dst, item = std::move(item)] {
-    if (silenced_[dst]) {  // firewalled: nothing gets in
-      if (drop_listener_) {
-        drop_listener_(src, dst, item.is_payload, DropReason::kSilenced);
-      }
-      return;
+  schedule_delivery(
+      src, item.dst, arrival, item.bytes,
+      Delivery{this, src, item.dst, item.is_payload, std::move(item.packet)});
+}
+
+void Transport::deliver(NodeId src, NodeId dst, bool is_payload,
+                        const PacketPtr& packet) {
+  if (silenced_[dst]) {  // firewalled: nothing gets in
+    if (drop_listener_) {
+      drop_listener_(src, dst, is_payload, DropReason::kSilenced);
     }
-    if (handlers_[dst] == nullptr) return;
-    if (options_.codec != nullptr) {
-      handlers_[dst](src, options_.codec->decode(item.encoded));
-    } else {
-      handlers_[dst](src, item.packet);
-    }
-  });
+    return;
+  }
+  if (handlers_[dst] != nullptr) handlers_[dst](src, packet);
 }
 
 void Transport::notify_purge(NodeId src, const Queued& item) {
-  PacketPtr packet = item.packet;
-  if (packet == nullptr && options_.codec != nullptr) {
-    packet = options_.codec->decode(item.encoded);
-  }
-  if (packet != nullptr) {
-    purge_listener_(src, item.dst, packet, item.is_payload);
-  }
+  purge_listener_(src, item.dst, item.packet, item.is_payload);
 }
 
 void Transport::update_watermark(NodeId src) {

@@ -11,7 +11,9 @@
 // Every packet transmission is accounted in TrafficStats per directed link;
 // payload-bearing packets are counted separately, since the paper's central
 // metrics (payload/msg, top-5% connection share, Fig. 4/6) are defined over
-// payload transmissions.
+// payload transmissions. The per-link counters live in one flat
+// open-addressing table, and a packet in flight is held by its delivery
+// event inline (no per-packet closure allocation).
 #pragma once
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/compact.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "net/latency_model.hpp"
@@ -43,10 +46,12 @@ class Packet {
 using PacketPtr = std::shared_ptr<const Packet>;
 
 /// Optional serialization hook: when installed on the transport, every
-/// packet is encoded at the sender and decoded at the receiver, so (a) the
-/// byte accounting uses real wire sizes and (b) the codec is exercised by
-/// all live traffic. Implemented by esm_wire (src/wire/codec.hpp); declared
-/// here so the transport does not depend on the protocol libraries.
+/// packet is encoded at send and decoded again right away, so (a) the byte
+/// accounting uses real wire sizes, (b) the codec is exercised by all live
+/// traffic and (c) the receiver (or purge listener) gets the decoded
+/// object, never the sender's. Implemented by esm_wire
+/// (src/wire/codec.hpp); declared here so the transport does not depend
+/// on the protocol libraries.
 class PacketCodec {
  public:
   virtual ~PacketCodec() = default;
@@ -75,7 +80,10 @@ using ConnectionPayload = std::pair<std::pair<NodeId, NodeId>, std::uint64_t>;
 double top_payload_share(const std::vector<ConnectionPayload>& busiest_first,
                          std::uint64_t total_payload, double fraction);
 
-/// Traffic accounting across all links and nodes.
+/// Traffic accounting across all links and nodes. Link counters are keyed
+/// by the packed directed link (src << 32 | dst) in one flat table, so a
+/// send costs one open-addressing probe and no allocation once the table
+/// has grown to the run's link set.
 class TrafficStats {
  public:
   explicit TrafficStats(std::uint32_t num_nodes)
@@ -110,7 +118,9 @@ class TrafficStats {
   /// (the paper's NeEM connections are TCP links).
   double top_connection_payload_share(double fraction) const;
 
-  /// (undirected link, payload packets) pairs, for structure plots.
+  /// Every used connection (both directions of a link folded into one,
+  /// lower endpoint first) with its payload packets, busiest first and
+  /// equal counts by endpoint — one order however the table was built.
   std::vector<ConnectionPayload> undirected_payload_counts() const;
 
  private:
@@ -118,7 +128,7 @@ class TrafficStats {
     return (static_cast<std::uint64_t>(src) << 32) | dst;
   }
 
-  std::unordered_map<std::uint64_t, LinkCounters> links_;
+  compact::FlatMap<std::uint64_t, LinkCounters> links_;
   std::vector<std::uint64_t> node_sent_payload_;
   std::vector<std::uint64_t> node_sent_packets_;
   std::uint64_t total_payload_packets_ = 0;
@@ -163,9 +173,9 @@ struct TransportOptions {
   /// Uniform multiplicative jitter on the one-way delay: the delay is
   /// multiplied by a factor in [1 - jitter, 1 + jitter].
   double jitter = 0.0;
-  /// When set, every packet is serialized/deserialized through this codec
-  /// and the explicit `bytes` argument of send() is replaced by the real
-  /// encoded size. The codec must outlive the transport.
+  /// When set, send() encodes every packet through this codec, bills the
+  /// real encoded size instead of its `bytes` argument, and queues and
+  /// delivers the decoded packet. The codec must outlive the transport.
   const PacketCodec* codec = nullptr;
 };
 
@@ -344,12 +354,11 @@ class Transport {
   }
 
   /// Packet-carrying purge hook: fired for every packet the bounded egress
-  /// buffer purges (DropReason::kBuffer), with the actual packet object so
+  /// buffer purges (DropReason::kBuffer), with the queued packet object so
   /// the protocol layer can re-enter the advertise/retry path for the keys
-  /// it carried. In codec mode the purged bytes are decoded back into a
-  /// packet first (purges are off the hot path by definition). Listeners
-  /// are invoked only after the queue mutation completes, so they may
-  /// re-enter send(). Complements (does not replace) the DropListener.
+  /// it carried (in codec mode, the packet decoded at send). Listeners are
+  /// invoked only after the queue mutation completes, so they may re-enter
+  /// send(). Complements (does not replace) the DropListener.
   using PurgeListener = std::function<void(NodeId src, NodeId dst,
                                            const PacketPtr& packet,
                                            bool is_payload)>;
@@ -373,13 +382,17 @@ class Transport {
  private:
   /// One packet waiting on a node's egress link.
   struct Queued {
+    PacketPtr packet;         // decoded already in codec mode
+    SimTime enqueued_at = 0;  // for egress sojourn accounting
     NodeId dst = kInvalidNode;
-    PacketPtr packet;                    // in-memory mode
-    std::vector<std::uint8_t> encoded;   // codec mode
-    std::size_t bytes = 0;
+    std::uint32_t bytes = 0;  // billed wire size
     bool is_payload = false;
-    SimTime enqueued_at = 0;             // for egress sojourn accounting
   };
+
+  /// The event that hands a packet to its receiver. A named functor, not
+  /// a closure over a Queued, so it fits EventCallback's inline buffer:
+  /// neither a delivery nor a cross-shard mailbox entry allocates.
+  struct Delivery;
 
   /// Per-directed-link fault modifiers (loss_burst / latency_spike).
   struct LinkFault {
@@ -416,10 +429,13 @@ class Transport {
 
   /// Transmits over the wire: accounting, loss, propagation, delivery.
   void transmit(NodeId src, Queued item);
+  /// Arrival at `dst`: the silenced check, then the receive handler.
+  void deliver(NodeId src, NodeId dst, bool is_payload,
+               const PacketPtr& packet);
   /// Starts/continues draining a node's egress queue.
   void drain(NodeId src);
-  /// Hands a purged item's packet to the purge listener (decoding first in
-  /// codec mode). Only called with the listener installed.
+  /// Hands a purged item's packet to the purge listener. Only called with
+  /// the listener installed.
   void notify_purge(NodeId src, const Queued& item);
   /// Re-evaluates the watermark hysteresis state for `src` and fires the
   /// listener on a crossing. No-op unless watermarks are armed.

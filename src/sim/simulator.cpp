@@ -18,9 +18,8 @@ EventHandle Simulator::schedule_at_keyed(SimTime t, std::uint64_t key,
   }
   Record& rec = slots_[slot];
   rec.cb = std::move(cb);
-  rec.seq = next_seq_++;
   rec.active = true;
-  heap_.push(Entry{t, key, rec.seq, slot, rec.gen});
+  heap_.push(Entry{t, key, next_seq_++, slot, rec.gen});
   ++pending_;
   return EventHandle{slot + 1, rec.gen};
 }

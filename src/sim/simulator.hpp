@@ -49,6 +49,10 @@ class EventCallback {
   /// of pointers, an id, a packet shared_ptr); measured across the harness,
   /// virtually every scheduled closure fits.
   static constexpr std::size_t kInlineBytes = 48;
+  /// Inline alignment: pointer-aligned, so the whole callback is 56 bytes
+  /// and an event record fills one 64-byte line. Over-aligned callables
+  /// (none on the hot path) take the heap route.
+  static constexpr std::size_t kInlineAlign = alignof(void*);
 
   EventCallback() = default;
 
@@ -58,7 +62,7 @@ class EventCallback {
   EventCallback(F&& f) {  // NOLINT(google-explicit-constructor)
     using Fn = std::decay_t<F>;
     if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  alignof(Fn) <= kInlineAlign &&
                   std::is_nothrow_move_constructible_v<Fn>) {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &inline_ops<Fn>;
@@ -134,7 +138,7 @@ class EventCallback {
     }
   }
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  alignas(kInlineAlign) unsigned char buf_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
 
@@ -217,14 +221,14 @@ class Simulator {
  private:
   struct Record {
     EventCallback cb;
-    std::uint64_t seq = 0;   // tie-break: FIFO among equal timestamps
     std::uint32_t gen = 1;   // bumped whenever the slot is vacated
     bool active = false;
   };
+  static_assert(sizeof(Record) <= 64, "an event record fits one cache line");
   struct Entry {
     SimTime time;
     std::uint64_t key;  // ordering key: 0 for plain events
-    std::uint64_t seq;
+    std::uint64_t seq;  // tie-break: FIFO among equal (time, key)
     std::uint32_t slot;
     std::uint32_t gen;
   };

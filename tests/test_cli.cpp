@@ -649,6 +649,40 @@ TEST(Cli, ToolsExitTwoOnMalformedValues) {
   EXPECT_EQ(tool_status("esm_sweep --param fanout --values 1e300"), 2);
   EXPECT_EQ(tool_status("esm_sweep --param seed --values -1"), 2);
   EXPECT_EQ(tool_status("esm_sweep --param nodes --values 0.5"), 2);
+  EXPECT_EQ(tool_status("esm_topo --clients 20x"), 2);
+  EXPECT_EQ(tool_status("esm_topo --clients 20 --seed abc"), 2);
+  EXPECT_EQ(tool_status("esm_topo --clients 4294967296"), 2);
+  // The offline tools get valid files, so only the flag value is at fault.
+  const std::string dir = ::testing::TempDir();
+  const std::string exp = dir + "esm_cli_relay.exp";
+  const std::string trace = dir + "esm_cli_trace.csv";
+  std::ofstream(exp) << "tree relay_within=2r\n";
+  std::ofstream(trace)
+      << "kind,time_us,node,peer,seq,latency_us,eager,from,recv_time_us\n"
+      << "delivery,1000,1,0,0,1000,1,0,\n";
+  const std::string expect = "esm_expect --expect " + exp + " ";
+  EXPECT_NE(tool_status(expect + trace), 2);
+  for (const char* round : {"nan", "inf", "1e300", "-1", "0", "1e-9"}) {
+    EXPECT_EQ(tool_status(expect + "--round-ms " + round + " " + trace), 2)
+        << "--round-ms " << round;
+  }
+  for (const char* nodes : {"+5", "0", "-1", "5x", "4294967296"}) {
+    EXPECT_EQ(tool_status(expect + "--nodes " + nodes + " " + trace), 2)
+        << "--nodes " << nodes;
+  }
+  EXPECT_NE(tool_status("esm_trees " + trace), 2);
+  EXPECT_EQ(tool_status("esm_trees --window-start 1e300 " + trace), 2);
+  EXPECT_EQ(tool_status("esm_trees --window-end inf " + trace), 2);
+  EXPECT_EQ(tool_status("esm_trees --window-end nan " + trace), 2);
+  EXPECT_EQ(tool_status("esm_trees --top nan " + trace), 2);
+  const std::string bench = dir + "esm_cli_bench.json";
+  std::ofstream(bench) << "{}\n";
+  const std::string guard = "esm_bench_guard " + bench + " " + bench;
+  EXPECT_EQ(tool_status(guard + " --max-drop 0.2"), 0);
+  for (const char* drop : {"nan", "0.5x", "inf"}) {
+    EXPECT_EQ(tool_status(guard + " --max-drop " + drop), 2)
+        << "--max-drop " << drop;
+  }
 }
 
 TEST(Cli, EndToEndSmallRun) {

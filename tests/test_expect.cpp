@@ -245,6 +245,12 @@ TEST(ExpectEval, TreeCompleteDepthAndRelayGap) {
             Status::fail);
   EXPECT_EQ(eval_one("tree relay_within=1200us\n", in).outcomes[0].status,
             Status::pass);
+  // A bound in rounds past the clock's range saturates instead of
+  // overflowing the SimTime conversion.
+  const Report huge = eval_one("tree relay_within=1e300r\n", in);
+  EXPECT_EQ(huge.outcomes[0].status, Status::pass);
+  EXPECT_DOUBLE_EQ(huge.outcomes[0].observed, 1.1);
+  EXPECT_GT(huge.outcomes[0].bound, 1e15);
 }
 
 TEST(ExpectEval, PhaseWindowsFromTraceRows) {

@@ -763,6 +763,141 @@ TEST(Transport, PurgeListenerCoversRefusalAndOversized) {
   f.sim.run();
 }
 
+/// Encodes a TestPacket as `tag + 8` bytes with the tag in the first
+/// byte, so the billed size depends on the packet and decoding yields a
+/// new object.
+class TagCodec final : public PacketCodec {
+ public:
+  std::vector<std::uint8_t> encode(const Packet& packet, NodeId,
+                                   NodeId) const override {
+    const int tag = dynamic_cast<const TestPacket&>(packet).tag;
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(tag) + 8, 0);
+    bytes[0] = static_cast<std::uint8_t>(tag);
+    return bytes;
+  }
+  PacketPtr decode(const std::vector<std::uint8_t>& bytes) const override {
+    return make_packet(bytes.at(0));
+  }
+};
+
+TEST(Transport, CodecDeliversDecodedPacketAndBillsEncodedSize) {
+  const TagCodec codec;
+  TransportOptions opts;
+  opts.codec = &codec;
+  Fixture f(2, opts);
+  PacketPtr got;
+  f.transport.register_handler(1,
+                               [&](NodeId, const PacketPtr& p) { got = p; });
+  const PacketPtr sent = make_packet(42);
+  f.transport.send(0, 1, sent, 1000, true);  // the codec bills 50, not 1000
+  f.sim.run();
+  ASSERT_NE(got, nullptr);
+  EXPECT_NE(got.get(), sent.get());
+  EXPECT_EQ(dynamic_cast<const TestPacket&>(*got).tag, 42);
+  EXPECT_EQ(f.transport.stats().total_bytes(), 50u);
+  EXPECT_EQ(f.transport.stats().link(0, 1).payload_bytes, 50u);
+}
+
+TEST(Transport, CodecPurgeHandsListenerTheDecodedPacket) {
+  const TagCodec codec;
+  TransportOptions opts;
+  opts.codec = &codec;
+  opts.bandwidth_bps = 8'000;  // 1 byte/ms
+  opts.egress_buffer_bytes = 120;
+  opts.purge_policy = TransportOptions::PurgePolicy::drop_oldest;
+  Fixture f(2, opts);
+  std::vector<std::pair<const Packet*, int>> purged;  // (object, tag)
+  f.transport.set_purge_listener(
+      [&](NodeId, NodeId, const PacketPtr& pkt, bool) {
+        purged.push_back(
+            {pkt.get(), dynamic_cast<const TestPacket&>(*pkt).tag});
+      });
+  // 48 bytes in service, 49 queued; 50 more overflow the 120-byte buffer
+  // and purge the queued (not the in-service) packet.
+  const PacketPtr head = make_packet(40);
+  const PacketPtr stale = make_packet(41);
+  f.transport.send(0, 1, head, 1, true);
+  f.transport.send(0, 1, stale, 1, true);
+  f.transport.send(0, 1, make_packet(42), 1, true);
+  ASSERT_EQ(purged.size(), 1u);
+  EXPECT_NE(purged[0].first, stale.get());
+  EXPECT_EQ(purged[0].second, 41);
+  EXPECT_EQ(f.transport.egress_queued_bytes(0), 98u);
+  f.sim.run();
+  EXPECT_EQ(f.received[1],
+            (std::vector<std::pair<NodeId, int>>{{0, 40}, {0, 42}}));
+}
+
+TEST(TrafficStats, LinkAndLinksUsedAfterReset) {
+  TrafficStats s(3);
+  s.record_send(0, 1, 10, true);
+  s.record_send(1, 2, 5, false);
+  EXPECT_EQ(s.links_used(), 2u);
+  EXPECT_EQ(s.link(0, 1).payload_bytes, 10u);
+  s.reset();
+  EXPECT_EQ(s.links_used(), 0u);
+  EXPECT_EQ(s.link(0, 1).packets, 0u);
+  EXPECT_EQ(s.link(1, 2).bytes, 0u);
+  EXPECT_TRUE(s.undirected_payload_counts().empty());
+  s.record_send(2, 0, 7, true);
+  EXPECT_EQ(s.links_used(), 1u);
+  EXPECT_EQ(s.link(2, 0).bytes, 7u);
+  EXPECT_EQ(s.link(2, 0).payload_packets, 1u);
+  EXPECT_EQ(s.link(0, 1).packets, 0u);
+}
+
+TEST(TrafficStats, MergingTwoSlotsEqualsOneSlot) {
+  constexpr std::uint32_t kNodes = 6;
+  TrafficStats whole(kNodes);
+  std::vector<TrafficStats> slots(2, TrafficStats(kNodes));
+  Rng rng(11);
+  for (int i = 0; i < 500; ++i) {
+    const auto src = static_cast<NodeId>(rng.range(0, kNodes - 1));
+    const auto dst =
+        static_cast<NodeId>((src + rng.range(1, kNodes - 1)) % kNodes);
+    const auto bytes = static_cast<std::size_t>(rng.range(1, 300));
+    const bool payload = rng.chance(0.4);
+    whole.record_send(src, dst, bytes, payload);
+    slots[src % 2].record_send(src, dst, bytes, payload);
+  }
+  TrafficStats merged(kNodes);
+  for (const TrafficStats& slot : slots) merged.merge(slot);
+  EXPECT_EQ(merged.total_packets(), whole.total_packets());
+  EXPECT_EQ(merged.total_bytes(), whole.total_bytes());
+  EXPECT_EQ(merged.total_payload_packets(), whole.total_payload_packets());
+  EXPECT_EQ(merged.links_used(), whole.links_used());
+  for (NodeId a = 0; a < kNodes; ++a) {
+    EXPECT_EQ(merged.node_sent_packets(a), whole.node_sent_packets(a));
+    EXPECT_EQ(merged.node_sent_payload(a), whole.node_sent_payload(a));
+    for (NodeId b = 0; b < kNodes; ++b) {
+      const LinkCounters& m = merged.link(a, b);
+      const LinkCounters& w = whole.link(a, b);
+      EXPECT_EQ(m.packets, w.packets) << a << "->" << b;
+      EXPECT_EQ(m.bytes, w.bytes) << a << "->" << b;
+      EXPECT_EQ(m.payload_packets, w.payload_packets) << a << "->" << b;
+      EXPECT_EQ(m.payload_bytes, w.payload_bytes) << a << "->" << b;
+    }
+  }
+  EXPECT_EQ(merged.undirected_payload_counts(),
+            whole.undirected_payload_counts());
+}
+
+TEST(TrafficStats, UndirectedCountsSumBothDirectionsTiesByEndpoint) {
+  TrafficStats s(5);
+  s.record_send(3, 1, 10, true);
+  s.record_send(3, 1, 10, true);
+  s.record_send(1, 3, 10, true);  // {1,3}: 3, both directions
+  for (int i = 0; i < 3; ++i) s.record_send(2, 3, 10, true);  // {2,3}: 3
+  s.record_send(4, 0, 10, true);
+  s.record_send(4, 0, 10, true);  // {0,4}: 2, reverse direction only
+  s.record_send(0, 2, 10, true);
+  s.record_send(2, 0, 10, true);  // {0,2}: 2
+  s.record_send(0, 1, 10, false);  // {0,1}: control only
+  const std::vector<ConnectionPayload> want = {
+      {{1, 3}, 3}, {{2, 3}, 3}, {{0, 2}, 2}, {{0, 4}, 2}, {{0, 1}, 0}};
+  EXPECT_EQ(s.undirected_payload_counts(), want);
+}
+
 TEST(Transport, DropOldestKeepsAccountingConsistentUnderOverload) {
   // Satellite invariant pin: the in-service head guard means a purge never
   // touches the transmitting slot, and `queued_bytes` must equal the sum

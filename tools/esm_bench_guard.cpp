@@ -30,9 +30,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "common/line_grammar.hpp"
 
 namespace {
 
@@ -70,7 +73,15 @@ int main(int argc, char** argv) {
   double max_drop = 0.15;
   for (std::size_t i = 0; i < args.size();) {
     if (args[i] == "--max-drop" && i + 1 < args.size()) {
-      max_drop = std::strtod(args[i + 1].c_str(), nullptr);
+      // A NaN fraction would make every floor NaN and every gate pass.
+      const std::optional<double> v = esm::text::finite_number(args[i + 1]);
+      if (!v) {
+        std::fprintf(stderr,
+                     "esm_bench_guard: --max-drop: not a finite number: %s\n",
+                     args[i + 1].c_str());
+        return 2;
+      }
+      max_drop = *v;
       args.erase(args.begin() + static_cast<std::ptrdiff_t>(i),
                  args.begin() + static_cast<std::ptrdiff_t>(i) + 2);
     } else {

@@ -17,12 +17,13 @@
 //
 // Exit codes: 0 all pass, 1 runtime error, 2 usage, 3 violations.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/line_grammar.hpp"
 #include "expect/expect.hpp"
 #include "expect/expect_text.hpp"
 #include "trace/trace_log.hpp"
@@ -53,7 +54,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> expect_paths;
   std::string trace_path;
   std::uint32_t nodes = 0;
-  double round_ms = 400.0;
+  SimTime round = 400 * kMillisecond;
   bool kv = false;
 
   const std::vector<std::string> args(argv + 1, argv + argc);
@@ -68,21 +69,28 @@ int main(int argc, char** argv) {
       if (arg == "--expect") {
         expect_paths.push_back(value);
       } else if (arg == "--nodes") {
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(value.c_str(), &end, 10);
-        if (end != value.c_str() + value.size() || v == 0 || v > 0xffffffffUL) {
-          std::fprintf(stderr, "esm_expect: bad --nodes '%s'\n", value.c_str());
-          return 2;
-        }
-        nodes = static_cast<std::uint32_t>(v);
-      } else {
-        char* end = nullptr;
-        round_ms = std::strtod(value.c_str(), &end);
-        if (end != value.c_str() + value.size() || round_ms <= 0.0) {
-          std::fprintf(stderr, "esm_expect: bad --round-ms '%s'\n",
+        const std::optional<std::uint64_t> n =
+            text::bounded_integer(value, 0xffffffffU);
+        if (!n || *n == 0) {
+          std::fprintf(stderr,
+                       "esm_expect: --nodes: not an integer in [1, "
+                       "4294967295]: %s\n",
                        value.c_str());
           return 2;
         }
+        nodes = static_cast<std::uint32_t>(*n);
+      } else {
+        const std::optional<double> ms = text::finite_number(value);
+        const std::optional<SimTime> t =
+            ms ? text::to_sim_time(*ms, kMillisecond) : std::nullopt;
+        if (!t || *t <= 0) {
+          std::fprintf(stderr,
+                       "esm_expect: --round-ms: must be a positive time in "
+                       "range (ms): %s\n",
+                       value.c_str());
+          return 2;
+        }
+        round = *t;
       }
     } else if (arg == "--kv") {
       kv = true;
@@ -136,7 +144,7 @@ int main(int argc, char** argv) {
   expect::EvalInput in;
   in.trace = &trace;
   in.default_expected = nodes;
-  in.round = static_cast<SimTime>(round_ms * static_cast<double>(kMillisecond));
+  in.round = round;
   const expect::Report report = expect::evaluate(expectations, in);
 
   if (kv) {

@@ -8,9 +8,12 @@
 // The CSV modes feed external plotting (the Fig. 4 style network renders).
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
+#include "common/line_grammar.hpp"
 #include "harness/table.hpp"
 #include "net/path_model.hpp"
 #include "net/routing.hpp"
@@ -28,20 +31,29 @@ int main(int argc, char** argv) {
     auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A decimal integer in [0, max], the esm_run rule; else exit 2.
+    auto integer = [&](std::uint64_t max) -> std::optional<std::uint64_t> {
+      const char* v = value();
+      if (v == nullptr) {
+        std::fprintf(stderr, "esm_topo: %s needs a value\n", flag.c_str());
+        return std::nullopt;
+      }
+      const std::optional<std::uint64_t> n = text::bounded_integer(v, max);
+      if (!n) {
+        std::fprintf(stderr,
+                     "esm_topo: %s: not an integer in [0, %llu]: %s\n",
+                     flag.c_str(), static_cast<unsigned long long>(max), v);
+      }
+      return n;
+    };
     if (flag == "--clients") {
-      const char* v = value();
-      if (v == nullptr) {
-        std::fprintf(stderr, "esm_topo: --clients needs a value\n");
-        return 2;
-      }
-      clients = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      const auto n = integer(std::numeric_limits<std::uint32_t>::max());
+      if (!n) return 2;
+      clients = static_cast<std::uint32_t>(*n);
     } else if (flag == "--seed") {
-      const char* v = value();
-      if (v == nullptr) {
-        std::fprintf(stderr, "esm_topo: --seed needs a value\n");
-        return 2;
-      }
-      seed = std::strtoull(v, nullptr, 10);
+      const auto n = integer(std::numeric_limits<std::uint64_t>::max());
+      if (!n) return 2;
+      seed = *n;
     } else if (flag == "--csv") {
       const char* v = value();
       if (v == nullptr) {

@@ -18,9 +18,11 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/line_grammar.hpp"
 #include "harness/cli.hpp"
 #include "harness/table.hpp"
 #include "obs/tree_stats.hpp"
@@ -44,10 +46,10 @@ Options:
   --help              this text
 )";
 
-bool parse_seconds(const char* text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text, &end);
-  return end != nullptr && *end == '\0' && end != text && out >= 0.0;
+/// Seconds as a SimTime: a finite, non-negative number in range.
+std::optional<esm::SimTime> parse_seconds(const std::string& token) {
+  const std::optional<double> s = esm::text::finite_number(token);
+  return s ? esm::text::to_sim_time(*s, esm::kSecond) : std::nullopt;
 }
 
 }  // namespace
@@ -58,17 +60,21 @@ int main(int argc, char** argv) {
   std::string path;
   bool kv = false;
   bool with_phases = true;
-  double window_start_s = 0.0;
-  double window_end_s = 0.0;
+  obs::TreeStatsOptions options;
   double top = 0.05;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&](double& out) {
-      if (i + 1 >= argc || !parse_seconds(argv[i + 1], out)) {
-        std::fprintf(stderr, "esm_trees: %s needs a non-negative number\n",
-                     arg.c_str());
+    auto seconds = [&](SimTime& out) {
+      const char* v = i + 1 < argc ? argv[i + 1] : "";
+      const std::optional<SimTime> t = parse_seconds(v);
+      if (!t) {
+        std::fprintf(stderr,
+                     "esm_trees: %s: must be a non-negative time in range "
+                     "(s): %s\n",
+                     arg.c_str(), v);
         return false;
       }
+      out = *t;
       ++i;
       return true;
     };
@@ -80,15 +86,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-phases") {
       with_phases = false;
     } else if (arg == "--window-start") {
-      if (!value(window_start_s)) return 2;
+      if (!seconds(options.window_start)) return 2;
     } else if (arg == "--window-end") {
-      if (!value(window_end_s)) return 2;
+      if (!seconds(options.window_end)) return 2;
     } else if (arg == "--top") {
-      if (!value(top)) return 2;
-      if (top <= 0.0 || top > 1.0) {
+      const std::optional<double> f =
+          i + 1 < argc ? text::finite_number(argv[++i]) : std::nullopt;
+      if (!f || *f <= 0.0 || *f > 1.0) {
         std::fprintf(stderr, "esm_trees: --top must be in (0, 1]\n");
         return 2;
       }
+      top = *f;
     } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
       std::fprintf(stderr, "esm_trees: unknown flag '%s'\n%s", arg.c_str(),
                    kUsage);
@@ -122,11 +130,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  obs::TreeStatsOptions options;
-  options.window_start =
-      static_cast<SimTime>(window_start_s * static_cast<double>(kSecond));
-  options.window_end =
-      static_cast<SimTime>(window_end_s * static_cast<double>(kSecond));
   const obs::TreeStats stats = obs::analyze_trees(trace, options);
 
   if (stats.messages == 0) {
